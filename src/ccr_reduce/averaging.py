@@ -17,13 +17,14 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import quad as _squad
 
-from .errors import QuadratureError, ZeroModeDivergenceError
+from .errors import ZeroModeDivergenceError
 from .forms import FormValue, bform
 from .groups import BHPElement, HaarMeasure, RotationElement, apply_group
 from .modes import FieldVector, omega_of, zero_mode_slice
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _refine,
     adaptive_spherical,
     bounding_radius,
     box_intersection,
@@ -61,17 +62,15 @@ def average_bform_circle(f1: FieldVector, f2: FieldVector,
     periodic, so the doubling difference is a faithful error estimate.
     """
     scale = 1.0 if measure is None else measure.scale
-    n, n_max = 16, 4096
-    prev = None
-    while n <= n_max:
+
+    def level(n: int) -> complex:
         th = 2.0 * np.pi * np.arange(n) / n
         vals = [bform(f1, apply_group(RotationElement(t), f2), quad).value for t in th]
-        cur = complex(np.mean(np.asarray(vals, dtype=complex)))
-        if prev is not None and abs(cur - prev) <= max(quad.abs_tol, quad.rel_tol * abs(cur)):
-            return AverageResult(scale * cur, scale * abs(cur - prev), 0.0)
-        prev = cur
-        n *= 2
-    raise QuadratureError("circle average did not stabilize under node doubling")
+        return complex(np.mean(np.asarray(vals, dtype=complex)))
+
+    cur, err = _refine(level, (16 * 2**i for i in range(9)), quad,  # 16 ... 4096
+                       "circle average did not stabilize under node doubling")
+    return AverageResult(scale * cur, scale * err, 0.0)
 
 
 def average_form_circle(form: str, f1: FieldVector, f2: FieldVector,
@@ -223,7 +222,9 @@ def average_bform_bhp_gave(f1: FieldVector, f2: FieldVector,
     2 pi * sum_n  int dl int dk  conj(a1)(n,l,0) a2(n,k,0)
                                  / ((n^2+l^2)(n^2+k^2))^(1/4),
     where the n = 0 integrals use the k = u|u| substitution that removes the
-    |k|^(-1/2) endpoint exactly.
+    |k|^(-1/2) endpoint exactly.  The Gauss-Legendre double sum has rank one,
+    so it is evaluated as conj(sum w g1) * (sum w g2); each n refines over
+    node factors 1, 1.5 and 2.25 until two levels agree.
     """
     lo1, hi1 = f1.support_box()
     lo2, hi2 = f2.support_box()
@@ -239,24 +240,22 @@ def average_bform_bhp_gave(f1: FieldVector, f2: FieldVector,
             u, wu = gl_nodes(m, -u_hi, u_hi)
             g1 = 2.0 * _slice_grid(f1, 0, u * np.abs(u))
             g2 = 2.0 * _slice_grid(f2, 0, u * np.abs(u))
-            F = np.conj(g1)[:, None] * g2[None, :]
         else:
             k, wu = gl_nodes(m, k_lo, k_hi)
             wgt = (n * n + k * k) ** -0.25
             g1 = _slice_grid(f1, n, k) * wgt
             g2 = _slice_grid(f2, n, k) * wgt
-            F = np.conj(g1)[:, None] * g2[None, :]
-        return complex(np.sum(wu[:, None] * wu[None, :] * F))
+        return complex(np.conj(np.sum(wu * g1)) * np.sum(wu * g2))
 
     total = 0.0 + 0.0j
     err = 0.0
     mags = {}
     for n in ordered_ns(quad.n_max):
-        coarse = term(n, 1.0)
-        fine = term(n, 1.5)
-        total += fine
-        err += abs(fine - coarse)
-        mags[abs(n)] = max(mags.get(abs(n), 0.0), abs(fine))
+        val, err_n = _refine(lambda factor: term(n, factor), (1.0, 1.5, 2.25), quad,
+                             f"per-n double quadrature did not converge at n = {n}")
+        total += val
+        err += err_n
+        mags[abs(n)] = max(mags.get(abs(n), 0.0), abs(val))
     tail = _ratio_tail([mags[m] for m in sorted(mags)])
     return AverageResult(haar_scale * 2.0 * np.pi * total,
                          haar_scale * 2.0 * np.pi * err,

@@ -2,9 +2,9 @@
 
 Every check row carries the two compared numbers, the tolerance, and the
 oracle route that produced the reference, so reports are self-describing.
-Fixed (seed, config) give identical reports except for the generated_at
-field.  Exit codes: 0 all checks pass, 1 any check failed, 2 usage or I/O
-errors.
+A fixed corpus and configuration give identical reports except for the
+generated_at field.  Exit codes: 0 all checks pass, 1 any check failed, 2
+usage, I/O or input errors, or an integral that cannot meet its tolerance.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -36,12 +34,10 @@ class ScenarioConfig:
     scenario: str
     corpus: str
     output: str
-    seed: int = 7
     n_max: int = 8
     alpha_cutoff: float = 40.0
     rel_tol: float = 1e-8
     csv_path: str = ""
-    threads: int = 1
 
     def quad(self) -> QuadratureConfig:
         return QuadratureConfig(rel_tol=self.rel_tol, n_max=self.n_max,
@@ -61,15 +57,6 @@ def _check(name, lhs, rhs, tol, oracle, relative=True, floor=0.0):
 def _check_below(name, value, bound, oracle):
     return {"name": name, "lhs": float(value), "rhs": float(bound), "tol": bound,
             "pass": bool(float(value) <= float(bound)), "oracle": oracle}
-
-
-def _project_all(fields, quad, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(reduction.project_bhp, f, quad.n_max, quad)
-                    for f in fields]
-            return [f.result() for f in futs]  # ordered reduce keeps determinism
-    return [reduction.project_bhp(f, quad.n_max, quad) for f in fields]
 
 
 def _scenario_bounds(fields, cfg, quad):
@@ -121,7 +108,7 @@ def _scenario_axisym(fields, cfg, quad):
 
 def _scenario_bhp_average(fields, cfg, quad):
     checks = []
-    seqs = _project_all(fields, quad, cfg.threads)
+    seqs = [reduction.project_bhp(f, quad.n_max, quad) for f in fields]
     pairs = [(i, j) for i in range(len(fields)) for j in range(i + 1, len(fields))][:6]
     averages = []
     for i, j in pairs:
@@ -307,11 +294,6 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     return report
 
 
-def generate_corpus(seed: int, size: int, mass: float = 0.0, s0: bool = False) -> dict:
-    """Re-export of corpus generation for CLI and library callers."""
-    return corpus.generate_corpus(seed, size, mass=mass, s0=s0)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ccr-reduce",
                                 description="group-averaging reduction scenarios")
@@ -322,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--corpus", required=True,
                      help="corpus JSON path, or 'bundled' for the 6-packet set")
     run.add_argument("--out", required=True, help="report output path")
-    run.add_argument("--seed", type=int, default=7)
     run.add_argument("--n-max", type=int, default=8)
     run.add_argument("--alpha-cutoff", type=float, default=40.0)
     run.add_argument("--rel-tol", type=float, default=1e-8)
@@ -340,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = max(1, int(os.environ.get("CCR_THREADS", "1")))
     try:
         if args.command == "gen-corpus":
             doc = corpus.generate_corpus(args.seed, args.size, mass=args.mass,
@@ -348,9 +328,9 @@ def main(argv=None) -> int:
             corpus.dump_corpus(doc, args.out)
             return 0
         cfg = ScenarioConfig(scenario=args.scenario, corpus=args.corpus,
-                             output=args.out, seed=args.seed, n_max=args.n_max,
+                             output=args.out, n_max=args.n_max,
                              alpha_cutoff=args.alpha_cutoff, rel_tol=args.rel_tol,
-                             csv_path=args.csv, threads=threads)
+                             csv_path=args.csv)
         report = run_scenario(cfg)
     except (OSError, ValueError, KeyError, json.JSONDecodeError, CcrReduceError) as exc:
         print(f"ccr-reduce: error: {exc}", file=sys.stderr)

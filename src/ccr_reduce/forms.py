@@ -19,7 +19,6 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     adaptive_spherical,
-    adaptive_tensor3,
     bounding_radius,
     box_intersection,
 )
@@ -104,20 +103,16 @@ def _numeric_bform(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig) -> 
     def integrand(K):
         return np.conj(f1.amplitude(K)) * f2.amplitude(K)
 
+    # only boosted terms reach here, and boosts exist only for mass 0: the
+    # boost frequency ratio is bounded but direction-dependent at the
+    # origin; in spherical coordinates it is smooth, so integrate the whole
+    # bounding ball on the (r, cos theta, phi) grid
     wmin = max(min(f1.min_width(), f2.min_width()), 1e-3)
-    if f1.mass == 0.0 and (f1.has_boost or f2.has_boost):
-        # the boost frequency ratio is bounded but direction-dependent at the
-        # origin; in spherical coordinates it is smooth, so integrate the
-        # whole bounding ball on the (r, cos theta, phi) grid
-        r_max = bounding_radius((lo, hi))
-        nr = int(np.clip(3.0 * r_max / wmin, 48, 240))
-        val, err = adaptive_spherical(integrand, r_max, quad,
-                                      base_counts=(nr, 48, 96),
-                                      max_counts=(300, 220, 440))
-    else:
-        extent = hi - lo
-        base = [int(np.clip(3.0 * extent[i] / wmin, 24, 160)) for i in range(3)]
-        val, err = adaptive_tensor3(integrand, (lo, hi), quad, base_counts=base)
+    r_max = bounding_radius((lo, hi))
+    nr = int(np.clip(3.0 * r_max / wmin, 48, 240))
+    val, err = adaptive_spherical(integrand, r_max, quad,
+                                  base_counts=(nr, 48, 96),
+                                  max_counts=(300, 220, 440))
     return FormValue(val, err)
 
 

@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import GroupMismatchError, MassMismatchError
+from .errors import GroupMismatchError
 from .modes import FieldVector, GaussianPacket, TransformedPacket, omega_of
 
 TWO_PI = 2.0 * np.pi
@@ -38,6 +38,8 @@ class RotationElement:
     angle: float
 
     def __post_init__(self):
+        if not np.isfinite(float(self.angle)):
+            raise ValueError("rotation angle must be finite")
         object.__setattr__(self, "angle", float(self.angle) % TWO_PI)
 
     @property
@@ -82,6 +84,10 @@ class BHPElement:
     beta: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([float(self.n), float(self.alpha), float(self.beta)])):
+            raise ValueError("BHP element n, alpha and beta must be finite")
+        if float(self.n) != int(self.n):
+            raise ValueError("BHP element n must be an integer")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
@@ -174,10 +180,9 @@ def inverse(g: GroupElement) -> GroupElement:
 def apply_group(g: GroupElement, f: FieldVector) -> FieldVector:
     """Act on a field; rotations of xy-isotropic packets stay closed form.
 
-    Boosts require the massless theory; other actions work for any mass.
+    Boosts require the massless theory (FieldVector rejects a boosted term
+    on a massive field); other actions work for any mass.
     """
-    if isinstance(g, BHPElement) and g.involves_boost and f.mass != 0.0:
-        raise MassMismatchError("boosts are implemented for the massless theory only")
     if isinstance(g, RotationElement) and g.is_identity():
         return f
     if isinstance(g, BHPElement) and g.is_identity():

@@ -9,7 +9,6 @@ amplitude Schwartz-class by construction and admits closed-form overlaps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +45,9 @@ class GaussianPacket:
         object.__setattr__(self, "center", _vec3(self.center))
         object.__setattr__(self, "width", _vec3(self.width))
         object.__setattr__(self, "coeff", complex(self.coeff))
+        if not (np.all(np.isfinite(self.center)) and np.all(np.isfinite(self.width))
+                and np.isfinite(self.coeff)):
+            raise ValueError("packet center, width and coeff must be finite")
         if np.any(self.width <= 0):
             raise ValueError("packet widths must be strictly positive")
 
@@ -131,8 +133,10 @@ class FieldVector:
     def __post_init__(self):
         object.__setattr__(self, "mass", float(self.mass))
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.mass < 0:
-            raise ValueError("mass must be nonnegative")
+        if not (np.isfinite(self.mass) and self.mass >= 0):
+            raise ValueError("mass must be finite and nonnegative")
+        if self.mass != 0.0 and self.has_boost:
+            raise MassMismatchError("boosts are implemented for the massless theory only")
 
     def amplitude(self, K: Array) -> Array:
         K = np.asarray(K, dtype=float)
@@ -272,10 +276,6 @@ def evaluate_field(f: FieldVector, t: float, x, quad: QuadratureConfig = DEFAULT
 
 # --- JSON serialization -----------------------------------------------------
 
-def _action_to_json(g) -> dict:
-    return g.to_json()
-
-
 def _action_from_json(d: dict):
     from . import groups  # local import avoids a cycle at module load
 
@@ -283,7 +283,7 @@ def _action_from_json(d: dict):
     if kind == "rotation":
         return groups.RotationElement(float(d["angle"]))
     if kind == "bhp":
-        return groups.BHPElement(int(d["n"]), float(d["alpha"]), float(d["beta"]))
+        return groups.BHPElement(d["n"], float(d["alpha"]), float(d["beta"]))
     raise ValueError(f"unknown action kind: {kind!r}")
 
 
@@ -291,7 +291,7 @@ def field_to_json(f: FieldVector) -> dict:
     terms = []
     for t in f.terms:
         base = t.base if isinstance(t, TransformedPacket) else t
-        actions = [_action_to_json(g) for g in t.chain] if isinstance(t, TransformedPacket) else []
+        actions = [g.to_json() for g in t.chain] if isinstance(t, TransformedPacket) else []
         terms.append({
             "center": [float(v) for v in base.center],
             "width": [float(v) for v in base.width],
@@ -309,14 +309,6 @@ def field_from_json(doc: dict) -> FieldVector:
         actions = [_action_from_json(a) for a in td.get("actions", [])]
         terms.append(TransformedPacket(base, tuple(actions)) if actions else base)
     return FieldVector(float(doc["mass"]), tuple(terms))
-
-
-def dumps_field(f: FieldVector) -> str:
-    return json.dumps(field_to_json(f), sort_keys=True)
-
-
-def loads_field(s: str) -> FieldVector:
-    return field_from_json(json.loads(s))
 
 
 def zero_mode_slice(f: FieldVector):

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from .errors import QuadratureError
 
@@ -34,21 +33,60 @@ class QuadratureConfig:
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    max_evals: int = 200_000_000
     alpha_cutoff: float = 40.0
     n_max: int = 16
     singularity_split: bool = True
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < np.inf and 0 < self.abs_tol < np.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.alpha_cutoff <= 0:
-            raise ValueError("alpha_cutoff must be positive")
+        if not 0 < self.alpha_cutoff < np.inf:
+            raise ValueError("alpha_cutoff must be finite and positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+
+
+def _refine(evaluate: Callable, levels: Iterable, cfg: QuadratureConfig,
+            failure: str, exc: type = QuadratureError):
+    """Evaluate levels in turn until two consecutive values agree.
+
+    Returns (value, error) for the later value of the first pair with
+    |cur - prev| <= max(abs_tol, rel_tol |cur|); the difference is a
+    faithful error estimate for the spectrally convergent rules used here
+    as long as every level refines its predecessor.  Running out of levels
+    raises exc(failure): an unconverged value is never returned.
+    """
+    prev = None
+    for level in levels:
+        cur = evaluate(level)
+        if prev is not None:
+            err = abs(cur - prev)
+            if err <= max(cfg.abs_tol, cfg.rel_tol * abs(cur)):
+                return cur, err
+        prev = cur
+    raise exc(failure)
+
+
+def _count_ladder(base_counts, caps, growth: float, floor: int):
+    """Node counts per axis for a 3D ladder, starting one step below base.
+
+    The warmup level confirms convergence from below: with an engineered
+    base the estimate usually settles without climbing past it.  Every axis
+    gains nodes from one level to the next; the ladder ends with the first
+    level that puts an axis at its cap, since a further level could not
+    refine that axis.
+    """
+    caps = np.asarray(caps, dtype=int)
+    counts = np.maximum((np.asarray(base_counts, dtype=int) / growth).astype(int), floor)
+    while True:
+        use = np.minimum(counts, caps)
+        yield tuple(int(c) for c in use)
+        if np.any(use >= caps):
+            return
+        counts = (counts * growth + 4).astype(int)
 
 
 @lru_cache(maxsize=128)
@@ -100,28 +138,9 @@ def adaptive_tensor3(
     Returns (value, error_estimate).  Raises QuadratureError when the
     refinement ladder is exhausted before the tolerance is met.
     """
-    base = np.array([max(8, int(c)) for c in base_counts], dtype=int)
-    # confirm convergence from below: a warmup level under the engineered
-    # base usually settles the estimate without climbing past it
-    counts = np.maximum((base / 1.45).astype(int), 8)
-    evals = 0
-    prev = None
-    for _ in range(9):
-        if np.all(counts > max_count):
-            break
-        cur = tensor3_integral(fn, box, np.minimum(counts, max_count))
-        evals += int(np.prod(np.minimum(counts, max_count)))
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= max(cfg.abs_tol, cfg.rel_tol * abs(cur)):
-                return cur, err
-        prev = cur
-        counts = (counts * 1.45 + 4).astype(int)
-        if evals > cfg.max_evals:
-            raise QuadratureError("3D quadrature exhausted its evaluation budget")
-    if prev is None:
-        raise QuadratureError("empty refinement ladder")
-    return cur, abs(cur - prev)  # last refinement delta as the estimate
+    levels = _count_ladder(base_counts, (max_count,) * 3, 1.45, 8)
+    return _refine(lambda counts: tensor3_integral(fn, box, counts), levels, cfg,
+                   "3D tensor quadrature did not converge below its node cap")
 
 
 def spherical_grid(r_max: float, nr: int, ntheta: int, nphi: int):
@@ -154,39 +173,12 @@ def adaptive_spherical(
     The grid is Gauss-Legendre in radius and cos(theta) and trapezoidal in
     azimuth, which is spectrally accurate for integrands smooth in
     (radius, direction) even when they are not smooth at k = 0 in Cartesian
-    coordinates.
+    coordinates.  Returns (value, error_estimate); raises QuadratureError
+    when the ladder reaches a cap before the tolerance is met.
     """
-    base = np.array(base_counts, dtype=int)
-    caps = np.array(max_counts, dtype=int)
-    counts = np.maximum((base / 1.4).astype(int), 12)
-    prev = None
-    evals = 0
-    for _ in range(8):
-        use = np.minimum(counts, caps)
-        cur = spherical_integral(fn, r_max, use)
-        evals += int(np.prod(use))
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= max(cfg.abs_tol, cfg.rel_tol * abs(cur)):
-                return cur, err
-        if np.all(counts >= caps):
-            break
-        prev = cur
-        counts = (counts * 1.4 + 4).astype(int)
-        if evals > cfg.max_evals:
-            raise QuadratureError("spherical quadrature exhausted its budget")
-    return cur, abs(cur - prev) if prev is not None else abs(cur)
-
-
-def quad_complex(f: Callable[[float], complex], a: float, b: float,
-                 epsabs: float = 1e-12, epsrel: float = 1e-10,
-                 limit: int = 300, points=None):
-    """Adaptive 1D quadrature (QUADPACK) of a complex-valued integrand."""
-    re, ere = _scipy_quad(lambda x: f(x).real, a, b, epsabs=epsabs,
-                          epsrel=epsrel, limit=limit, points=points)
-    im, eim = _scipy_quad(lambda x: f(x).imag, a, b, epsabs=epsabs,
-                          epsrel=epsrel, limit=limit, points=points)
-    return re + 1j * im, ere + eim
+    levels = _count_ladder(base_counts, max_counts, 1.4, 12)
+    return _refine(lambda counts: spherical_integral(fn, r_max, counts), levels, cfg,
+                   "spherical quadrature did not converge below its node caps")
 
 
 def oscillatory_grid(a: float, b: float, max_freq: float, nodes_per_panel: int = 16):
@@ -205,27 +197,6 @@ def oscillatory_grid(a: float, b: float, max_freq: float, nodes_per_panel: int =
     nodes = (centers[:, None] + half * x0[None, :]).ravel()
     weights = np.broadcast_to(half * w0, (n_panels, nodes_per_panel)).ravel()
     return nodes, weights
-
-
-def trapezoid_doubling(sample: Callable[[np.ndarray], np.ndarray],
-                       cfg: QuadratureConfig = DEFAULT_CONFIG,
-                       n0: int = 16, n_max: int = 8192):
-    """Average of a smooth 2*pi-periodic function by doubling trapezoid sums.
-
-    sample(thetas) returns the integrand on the given angles; the result is
-    the normalized average (1/2pi) * integral.  Spectrally accurate, so the
-    doubling test is a reliable error estimate.
-    """
-    n = n0
-    prev = None
-    while n <= n_max:
-        th = 2.0 * np.pi * np.arange(n) / n
-        cur = complex(np.mean(sample(th)))
-        if prev is not None and abs(cur - prev) <= max(cfg.abs_tol, cfg.rel_tol * abs(cur)):
-            return cur, abs(cur - prev)
-        prev = cur
-        n *= 2
-    raise QuadratureError("periodic trapezoid did not converge by n = %d" % n_max)
 
 
 def box_intersection(box_a, box_b):

@@ -17,12 +17,11 @@ from scipy.integrate import quad as _squad
 
 from .errors import (
     NonSymplecticError,
-    QuadratureError,
     SingularQuadratureError,
     ZeroModeUndefinedError,
 )
 from .modes import FieldVector
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, gl_nodes
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _refine, gl_nodes
 from .specfun import hankel2_0
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -53,20 +52,10 @@ class ReducedSequence:
     def n_max(self) -> int:
         return max(abs(n) for n in self.entries)
 
-    def ordered_values(self):
-        return [self.entries[n] for n in ordered_ns(self.n_max)]
-
     def rescaled(self, factor: complex) -> "ReducedSequence":
         return ReducedSequence({n: factor * v for n, v in self.entries.items()},
                                self.zero_mode_defined,
                                abs(factor) * self.error_estimate)
-
-    def tail_ratio(self) -> float:
-        """Decay ratio |A_nmax| / |A_(nmax-1)|, the rapid-decrease diagnostic."""
-        m = self.n_max
-        hi = max(abs(self.entries[m]), abs(self.entries[-m]))
-        lo = max(abs(self.entries[m - 1]), abs(self.entries[-(m - 1)]), 1e-300)
-        return hi / lo
 
 
 def pair_sum(s1: ReducedSequence, s2: ReducedSequence) -> complex:
@@ -188,7 +177,8 @@ def reduced_forms_axisym(A1: AxisymmetricAmplitude, A2: AxisymmetricAmplitude,
         domain = axisym_domain((A1, A2))
     kmax, zlo, zhi, nk, nz = domain
 
-    def level(nk_, nz_):
+    def level(counts) -> complex:
+        nk_, nz_ = counts
         kap, wk = gl_nodes(nk_, 0.0, kmax)
         kz, wz = gl_nodes(nz_, zlo, zhi)
         key = (nk_, nz_, round(kmax, 9), round(zlo, 9), round(zhi, 9))
@@ -196,13 +186,9 @@ def reduced_forms_axisym(A1: AxisymmetricAmplitude, A2: AxisymmetricAmplitude,
         v2 = A2.grid_values(kap, kz, key)
         return 2.0 * np.pi * complex(np.sum(wk[:, None] * wz[None, :] * np.conj(v1) * v2))
 
-    prev = level(nk, nz)
-    cur = level(int(nk * 1.4) + 4, int(nz * 1.4) + 4)
-    if abs(cur - prev) > max(quad.abs_tol, quad.rel_tol * abs(cur)) * 50:
-        cur2 = level(int(nk * 2.0) + 8, int(nz * 2.0) + 8)
-        if abs(cur2 - cur) > max(quad.abs_tol * 100, quad.rel_tol * abs(cur2) * 100):
-            raise QuadratureError("axisymmetric reduced forms did not converge")
-        cur = cur2
+    levels = ((nk, nz), (int(nk * 1.4) + 4, int(nz * 1.4) + 4),
+              (int(nk * 2.0) + 8, int(nz * 2.0) + 8))
+    cur, _ = _refine(level, levels, quad, "axisymmetric reduced forms did not converge")
     return -2.0 * cur.imag, cur.real
 
 
@@ -257,16 +243,14 @@ def project_bhp(f: FieldVector, n_max: Optional[int] = None,
 
 def _gl_ladder_singular(a_slice, k_lo, k_hi, quad):
     """Plain doubling rule on the singular n = 0 integrand; raises on stall."""
-    prev = None
-    for n_nodes in (64, 128, 256, 512, 1024):
+    def level(n_nodes: int) -> complex:
         k, w = gl_nodes(n_nodes, k_lo, k_hi)
         vals = np.array([a_slice(kk) for kk in k])
-        cur = complex(np.sum(w * vals * np.abs(k) ** -0.5))
-        if prev is not None and abs(cur - prev) <= max(quad.abs_tol, quad.rel_tol * abs(cur)):
-            return cur, abs(cur - prev)
-        prev = cur
-    raise SingularQuadratureError(
-        "n = 0 projection integrand is singular; enable singularity_split")
+        return complex(np.sum(w * vals * np.abs(k) ** -0.5))
+
+    return _refine(level, (64, 128, 256, 512, 1024), quad,
+                   "n = 0 projection integrand is singular; enable singularity_split",
+                   SingularQuadratureError)
 
 
 # --- null-space / rank analysis ----------------------------------------------

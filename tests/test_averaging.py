@@ -25,6 +25,8 @@ from ccr_reduce import (
     substitution_check,
     zero_mode_divergence_probe,
 )
+from ccr_reduce.errors import QuadratureError
+from ccr_reduce.quadrature import QuadratureConfig, _refine, adaptive_spherical, adaptive_tensor3
 
 from conftest import random_field, random_s0_field
 
@@ -35,10 +37,58 @@ class TestQuadratureConfig:
 
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=-1e-8)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                QuadratureConfig(rel_tol=bad)
         with pytest.raises(ValueError):
             QuadratureConfig(n_max=0)
         with pytest.raises(ValueError):
             QuadratureConfig(alpha_cutoff=0.0)
+
+
+class TestRefinementLadders:
+    def test_primitive_returns_later_value_with_last_difference(self):
+        seen = []
+
+        def level(n):
+            seen.append(n)
+            return 1.0 + 10.0 ** -n
+
+        value, err = _refine(level, range(1, 20), QuadratureConfig(), "no convergence")
+        # |level(9) - level(8)| = 9e-9 is the first difference below rel_tol 1e-8
+        assert seen == list(range(1, 10))
+        assert value == level(9)
+        assert err == abs(level(9) - level(8))
+
+    def test_primitive_raises_when_levels_run_out(self):
+        with pytest.raises(QuadratureError, match="no convergence"):
+            _refine(lambda n: 1.0 + 10.0 ** -n, range(1, 5), QuadratureConfig(),
+                    "no convergence")
+
+    def test_tensor3_raises_at_its_cap(self):
+        def fn(K):
+            return np.exp(40j * K[..., 0]) * np.exp(-np.sum(K * K, axis=-1) / 0.02)
+
+        box = (np.full(3, -1.0), np.full(3, 1.0))
+        with pytest.raises(QuadratureError):
+            adaptive_tensor3(fn, box, QuadratureConfig(), max_count=24)
+
+    def test_spherical_capped_axis_raises(self):
+        b = 0.9
+
+        def fn(K):
+            phi = np.arctan2(K[..., 1], K[..., 0])
+            return np.exp(-np.sum(K * K, axis=-1)) / (1.0 - b * np.cos(phi))
+
+        # radial and polar rules converge; only the azimuth is hard
+        exact = np.sqrt(np.pi) / 4.0 * 2.0 * 2.0 * np.pi / np.sqrt(1.0 - b * b)
+        value, _ = adaptive_spherical(fn, 6.0, QuadratureConfig(),
+                                      base_counts=(24, 16, 16),
+                                      max_counts=(200, 200, 400))
+        assert abs(value - exact) < 1e-8 * exact
+        with pytest.raises(QuadratureError):
+            adaptive_spherical(fn, 6.0, QuadratureConfig(), base_counts=(24, 16, 16),
+                               max_counts=(200, 200, 16))
 
 
 class TestCircleAverage:

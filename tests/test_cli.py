@@ -80,7 +80,7 @@ class TestScenarioRunner:
         reports = []
         for name in ("r1.json", "r2.json"):
             out = tmp_path / name
-            run_scenario(ScenarioConfig("bounds", str(corpus), str(out), seed=5))
+            run_scenario(ScenarioConfig("bounds", str(corpus), str(out)))
             doc = json.loads(out.read_text())
             doc.pop("generated_at")
             doc["config"].pop("output")
@@ -122,18 +122,26 @@ class TestCliProcess:
                      "--out", str(out)]) == 2
 
 
-class TestThreading:
-    def test_worker_count_does_not_change_results(self, tmp_path):
+class TestInvalidFieldInput:
+    @staticmethod
+    def run_bounds(tmp_path, mass=0.0, width=(0.8, 0.9, 1.0), coeff=(0.6, -0.2),
+                   actions=()):
+        term = {"center": [0.5, -0.4, 0.3], "width": list(width),
+                "coeff": list(coeff), "actions": list(actions)}
         corpus = tmp_path / "c.json"
-        dump_corpus(generate_corpus(17, 3, s0=True), corpus)
-        reports = []
-        for threads in (1, 2):
-            out = tmp_path / f"r{threads}.json"
-            cfg = ScenarioConfig("bhp-average", str(corpus), str(out),
-                                 n_max=4, threads=threads)
-            doc = run_scenario(cfg)
-            doc.pop("generated_at")
-            doc["config"].pop("output")
-            doc["config"].pop("threads")
-            reports.append(json.dumps(doc, sort_keys=True))
-        assert reports[0] == reports[1]
+        corpus.write_text(json.dumps({"fields": [{"mass": mass, "terms": [term]}]}))
+        return main(["run", "--scenario", "bounds", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "r.json")])
+
+    def test_valid_field_passes(self, tmp_path):
+        assert self.run_bounds(tmp_path) == 0
+
+    def test_nan_width_exits_2(self, tmp_path):
+        assert self.run_bounds(tmp_path, width=(0.8, float("nan"), 1.0)) == 2
+
+    def test_infinite_coeff_exits_2(self, tmp_path):
+        assert self.run_bounds(tmp_path, coeff=(float("inf"), 0.0)) == 2
+
+    def test_boost_on_massive_field_exits_2(self, tmp_path):
+        boost = {"kind": "bhp", "n": 0, "alpha": 0.5, "beta": 0.0}
+        assert self.run_bounds(tmp_path, mass=1.0, actions=[boost]) == 2

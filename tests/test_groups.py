@@ -84,6 +84,17 @@ class TestBHPAction:
         k = rng.uniform(-3, 3, size=(40, 3))
         assert np.allclose(lhs.amplitude(k), rhs.amplitude(k), atol=1e-10)
 
+    def test_invalid_parameters_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                RotationElement(bad)
+            with pytest.raises(ValueError):
+                BHPElement(1, bad, 0.0)
+            with pytest.raises(ValueError):
+                BHPElement(1, 0.0, bad)
+        with pytest.raises(ValueError):
+            BHPElement(1.5, 0.0, 0.0)
+
     def test_boost_needs_massless(self, rng):
         with pytest.raises(MassMismatchError):
             apply_group(BHPElement(0, 0.5, 0.0), random_field(rng, mass=1.0))
