@@ -32,7 +32,6 @@ from .errors import (
     NegativeFormError,
     NonSymplecticError,
     QuadratureError,
-    SingularQuadratureError,
     ZeroModeDivergenceError,
     ZeroModeUndefinedError,
 )
@@ -52,7 +51,6 @@ from .forms import (
 )
 from .groups import (
     BHPElement,
-    HaarMeasure,
     RotationElement,
     apply_group,
     compose,

@@ -19,7 +19,7 @@ from scipy.integrate import quad as _squad
 
 from .errors import ZeroModeDivergenceError
 from .forms import FormValue, bform
-from .groups import BHPElement, HaarMeasure, RotationElement, apply_group
+from .groups import BHPElement, RotationElement, apply_group, checked_haar_scale
 from .modes import FieldVector, omega_of, zero_mode_slice
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -32,6 +32,7 @@ from .quadrature import (
     oscillatory_grid,
 )
 from .reduction import ReducedSequence, ordered_ns, pair_sum, project_bhp
+from .specfun import cosh_phase_integral, hankel2_0
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -55,13 +56,13 @@ class AverageResult:
 
 def average_bform_circle(f1: FieldVector, f2: FieldVector,
                          quad: QuadratureConfig = DEFAULT_CONFIG,
-                         measure: Optional[HaarMeasure] = None) -> AverageResult:
-    """(1/2 pi) * integral over the circle of B(f1, Phi_theta f2).
+                         haar_scale: float = 1.0) -> AverageResult:
+    """(haar_scale / 2 pi) * integral over the circle of B(f1, Phi_theta f2).
 
     Trapezoid sums double until stable; the integrand is smooth and
     periodic, so the doubling difference is a faithful error estimate.
     """
-    scale = 1.0 if measure is None else measure.scale
+    scale = checked_haar_scale(haar_scale)
 
     def level(n: int) -> complex:
         th = 2.0 * np.pi * np.arange(n) / n
@@ -75,11 +76,11 @@ def average_bform_circle(f1: FieldVector, f2: FieldVector,
 
 def average_form_circle(form: str, f1: FieldVector, f2: FieldVector,
                         quad: QuadratureConfig = DEFAULT_CONFIG,
-                        measure: Optional[HaarMeasure] = None) -> AverageResult:
+                        haar_scale: float = 1.0) -> AverageResult:
     """Averaged symplectic form or scalar product over the rotation group."""
     if form not in ("omega", "mu"):
         raise ValueError("form must be 'omega' or 'mu'")
-    avg = average_bform_circle(f1, f2, quad, measure)
+    avg = average_bform_circle(f1, f2, quad, haar_scale)
     if form == "mu":
         return AverageResult(avg.value.real, avg.error_estimate, avg.tail_bound)
     return AverageResult(-2.0 * avg.value.imag, 2.0 * avg.error_estimate, avg.tail_bound)
@@ -226,6 +227,7 @@ def average_bform_bhp_gave(f1: FieldVector, f2: FieldVector,
     so it is evaluated as conj(sum w g1) * (sum w g2); each n refines over
     node factors 1, 1.5 and 2.25 until two levels agree.
     """
+    haar_scale = checked_haar_scale(haar_scale)
     lo1, hi1 = f1.support_box()
     lo2, hi2 = f2.support_box()
     k_lo = min(lo1[1], lo2[1]) - 0.5
@@ -282,6 +284,7 @@ def average_bform_bhp_reduced(f1: FieldVector, f2: FieldVector,
     Rescaling the Haar measure by c multiplies the average by c; the same
     effect is obtained by mapping both sequences through A_n -> sqrt(c) A_n.
     """
+    haar_scale = checked_haar_scale(haar_scale)
     if sequences is None:
         s1 = project_bhp(f1, quad.n_max, quad)
         s2 = project_bhp(f2, quad.n_max, quad)
@@ -345,32 +348,6 @@ def substitution_check(h: Callable[[float], float], support: float,
 
 # --- group-averaged field -----------------------------------------------------
 
-def _damped_boost_integral(tau: float, n: int, ky: np.ndarray) -> np.ndarray:
-    """integral d(alpha) exp(i tau (ky sinh a - w cosh a)) for each ky.
-
-    The phase is -|n| tau cosh(a + v(ky)) with a ky-dependent stationary
-    center; the quadrature window is centered there and its tails are
-    rotated by -pi/4 into the damped region.  No Hankel identity is used.
-    """
-    w = np.hypot(float(n), ky)
-    v = np.arcsinh(-ky / abs(n))
-    z = abs(n) * tau
-    s0 = min(max(2.5, float(np.log(90.0 / z))), 12.0)
-    ncen = int(min(max(96, 8 * z * np.cosh(s0) / np.pi + 16), 4000))
-
-    def phase(alpha):
-        return np.exp(1j * tau * (ky[:, None] * np.sinh(alpha) - w[:, None] * np.cosh(alpha)))
-
-    x, wx = gl_nodes(ncen, -s0, s0)
-    centers = (-v)[:, None]
-    central = np.sum(wx[None, :] * phase(centers + x[None, :]), axis=1)
-    t, wt = gl_nodes(160, 0.0, 4.2)
-    rot = np.exp(-1j * np.pi / 4)
-    right = np.sum(wt[None, :] * phase(centers + s0 + t[None, :] * rot), axis=1) * rot
-    left = np.sum(wt[None, :] * phase(centers - s0 - t[None, :] * rot), axis=1) * rot
-    return central + right + left
-
-
 def average_field_bhp(f: FieldVector, tau: float, sigma: float,
                       quad: QuadratureConfig = DEFAULT_CONFIG,
                       path: str = "series",
@@ -378,10 +355,13 @@ def average_field_bhp(f: FieldVector, tau: float, sigma: float,
     """Group-averaged field at (tau, sigma) on the reduced spacetime.
 
     path "series": (1/(2 sqrt 2)) sum_{n != 0} A_n H0_2(|n| tau) e^{i n sigma}
-    plus its conjugate.  path "direct": per-n 2D quadrature over the boost
-    parameter and k_y of the averaged mode integrand, with oscillation-damped
-    tails.  Requires a field in the zero-mode-free subspace; anything else
-    has a divergent n = 0 average.
+    plus its conjugate, with the series/asymptotic H0_2 and the adaptive A_n.
+    path "direct": per n, the boost integral of exp(i tau (k_y sinh a -
+    w cosh a)) times a fixed Gauss-Legendre k_y quadrature of the slice.
+    Centring the boost parameter at each k_y's stationary point turns the
+    phase into -|n| tau cosh, so the boost integral is one contour-damped
+    number per n.  Requires a field in the zero-mode-free subspace; anything
+    else has a divergent n = 0 average.
     """
     if f.mass != 0.0:
         raise ValueError("field averaging applies to the massless theory")
@@ -392,8 +372,6 @@ def average_field_bhp(f: FieldVector, tau: float, sigma: float,
             "field has a nonzero amplitude on the k = (0, k_y, 0) line; "
             "its group average diverges in the boost parameter")
     if path == "series":
-        from .specfun import hankel2_0
-
         s = sequence if sequence is not None else project_bhp(f, quad.n_max, quad)
         acc = 0.0 + 0.0j
         for n in ordered_ns(s.n_max):
@@ -414,10 +392,9 @@ def average_field_bhp(f: FieldVector, tau: float, sigma: float,
     for n in ordered_ns(quad.n_max):
         if n == 0:
             continue
-        amp = _slice_grid(f, n, ky)
-        wq = np.hypot(float(n), ky)
-        D = _damped_boost_integral(tau, n, ky)
-        t_n = prefac * complex(np.sum(wk * amp / np.sqrt(wq) * D))
+        boost, _ = cosh_phase_integral(abs(n) * tau)
+        slice_sum = np.sum(wk * _slice_grid(f, n, ky) / np.sqrt(np.hypot(float(n), ky)))
+        t_n = prefac * complex(boost * slice_sum)
         out += 2.0 * (t_n * np.exp(1j * n * sigma)).real
     return float(out)
 
@@ -428,31 +405,28 @@ def zero_mode_divergence_probe(f: FieldVector, alpha_cutoffs: Sequence[float],
 
     For a field with a(0, k_y, 0) != 0 the sequence grows without bound
     (asymptotically linearly in the cutoff); on the zero-mode-free subspace
-    it is identically zero.  The oscillatory k_y integral is computed on a
-    half-line substitution for the slow branch and a contour rotation for
-    the fast one, so cutoffs of order 40 cost nothing.
+    it is identically zero.  The oscillatory half-line k_y = +-v^2 integral
+    is a weighted sum on one grid for the slow branch (nu <= 50: the local
+    frequency 2 nu v of exp(-i nu v^2) stays below 100 sqrt(q_hi)) and a
+    contour rotation for the fast one, so cutoffs of order 40 cost nothing.
     """
     g = zero_mode_slice(f)
-    g_plus = lambda q: g(q)
-    g_minus = lambda q: g(-q)
     lo, hi = f.support_box()
     q_hi = max(abs(lo[1]), abs(hi[1])) + 1.0
     c0 = (2.0 * (2.0 * np.pi) ** 3) ** -0.5
+    v, wv = oscillatory_grid(0.0, np.sqrt(q_hi), 100.0 * np.sqrt(q_hi))
+    slow = {sign: 2.0 * wv * g(sign * v * v) for sign in (1.0, -1.0)}
 
-    def K_of(nu: float, gf) -> complex:
+    def K_of(nu: float, sign: float) -> complex:
         if nu <= 50.0:
-            v_hi = np.sqrt(q_hi)
-            m = int(np.clip(8.0 * nu * q_hi / np.pi + 96, 96, 2400))
-            v, wv = gl_nodes(m, 0.0, v_hi)
-            return complex(np.sum(wv * 2.0 * gf(v * v) * np.exp(-1j * nu * v * v)))
-        v_hi = np.sqrt(45.0 / nu)
-        v, wv = gl_nodes(200, 0.0, v_hi)
+            return complex(np.sum(slow[sign] * np.exp(-1j * nu * v * v)))
+        u, wu = gl_nodes(200, 0.0, np.sqrt(45.0 / nu))
         return complex(np.exp(-1j * np.pi / 4)
-                       * np.sum(wv * 2.0 * gf(-1j * v * v) * np.exp(-nu * v * v)))
+                       * np.sum(wu * 2.0 * g(-1j * sign * u * u) * np.exp(-nu * u * u)))
 
     def h(alpha: float) -> float:
-        kp = K_of(tau * np.exp(-alpha), g_plus)
-        km = K_of(tau * np.exp(alpha), g_minus)
+        kp = K_of(tau * np.exp(-alpha), 1.0)
+        km = K_of(tau * np.exp(alpha), -1.0)
         return float(2.0 * (c0 * (kp + km)).real)
 
     results = []

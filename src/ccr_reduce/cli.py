@@ -154,7 +154,7 @@ def _scenario_bhp_field(fields, cfg, quad):
                                                  path="series", sequence=seq)
             checks.append(_check_below(f"field-average tau={tau},sigma={sigma:.3f}",
                                        abs(direct - series), 1e-5,
-                                       "damped 2D quadrature vs Hankel series"))
+                                       "contour boost integral x GL k_y rule vs Hankel series"))
     sol = reduction.gowdy_from_sequence(seq)
     h = 0.05
     for (tau, sigma) in ((1.0, 0.7), (1.5, 2.0)):

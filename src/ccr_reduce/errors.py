@@ -17,10 +17,6 @@ class QuadratureError(CcrReduceError, RuntimeError):
     """A quadrature did not converge within its budget."""
 
 
-class SingularQuadratureError(QuadratureError):
-    """Singular integrand requested without the singularity-removing substitution."""
-
-
 class ZeroModeDivergenceError(CcrReduceError, RuntimeError):
     """Field average requested for a field with a nonzero zero-mode slice."""
 

@@ -1,4 +1,4 @@
-"""Group elements, Haar measures, and actions on field amplitudes.
+"""Group elements, the Haar scale, and actions on field amplitudes.
 
 Two groups are implemented: S^1 acting by rotations about the z axis (any
 mass), and Z x R^2 acting on the massless theory by discrete x-translations
@@ -134,31 +134,18 @@ class BHPElement:
 GroupElement = Union[RotationElement, BHPElement]
 
 
-@dataclass(frozen=True)
-class HaarMeasure:
-    """Bi-invariant measure, unique up to the positive scale carried here.
+def checked_haar_scale(scale: float) -> float:
+    """The Haar measure of either group is fixed only up to a positive scale.
 
-    kind "normalized-circle": total mass one on S^1.
-    kind "counting-lebesgue2": counting measure on Z times Lebesgue d(alpha)
-    d(beta) on R^2.
+    The form averages and null_space_analysis take that scale as
+    `haar_scale` (unit scale: total mass one on S^1, counting times
+    Lebesgue d(alpha) d(beta) on Z x R^2); a non-finite or non-positive
+    scale is rejected here.
     """
-
-    kind: str
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("normalized-circle", "counting-lebesgue2"):
-            raise ValueError(f"unknown Haar measure kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ValueError("Haar scale must be positive")
-
-    @classmethod
-    def circle(cls, scale: float = 1.0) -> "HaarMeasure":
-        return cls("normalized-circle", scale)
-
-    @classmethod
-    def bhp(cls, scale: float = 1.0) -> "HaarMeasure":
-        return cls("counting-lebesgue2", scale)
+    scale = float(scale)
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"haar_scale must be finite and positive, got {scale}")
+    return scale
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:

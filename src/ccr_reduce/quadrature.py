@@ -26,16 +26,13 @@ class QuadratureConfig:
     """Shared numerical budget for all integral evaluations.
 
     alpha_cutoff truncates boost-parameter integrals; n_max truncates the
-    discrete sums of the non-compact reduction.  singularity_split enables
-    the k = u|u| substitution that removes the |k|^(-1/2) endpoint of the
-    n = 0 projection integral.
+    discrete sums of the non-compact reduction.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     alpha_cutoff: float = 40.0
     n_max: int = 16
-    singularity_split: bool = True
 
     def __post_init__(self):
         if not (0 < self.rel_tol < np.inf and 0 < self.abs_tol < np.inf):
@@ -49,15 +46,14 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def _refine(evaluate: Callable, levels: Iterable, cfg: QuadratureConfig,
-            failure: str, exc: type = QuadratureError):
+def _refine(evaluate: Callable, levels: Iterable, cfg: QuadratureConfig, failure: str):
     """Evaluate levels in turn until two consecutive values agree.
 
     Returns (value, error) for the later value of the first pair with
     |cur - prev| <= max(abs_tol, rel_tol |cur|); the difference is a
     faithful error estimate for the spectrally convergent rules used here
     as long as every level refines its predecessor.  Running out of levels
-    raises exc(failure): an unconverged value is never returned.
+    raises QuadratureError(failure): an unconverged value is never returned.
     """
     prev = None
     for level in levels:
@@ -67,7 +63,7 @@ def _refine(evaluate: Callable, levels: Iterable, cfg: QuadratureConfig,
             if err <= max(cfg.abs_tol, cfg.rel_tol * abs(cur)):
                 return cur, err
         prev = cur
-    raise exc(failure)
+    raise QuadratureError(failure)
 
 
 def _count_ladder(base_counts, caps, growth: float, floor: int):

@@ -10,16 +10,13 @@ identity map away from the zero mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad as _squad
+from scipy.integrate import quad_vec
 
-from .errors import (
-    NonSymplecticError,
-    SingularQuadratureError,
-    ZeroModeUndefinedError,
-)
+from .errors import NonSymplecticError, QuadratureError, ZeroModeUndefinedError
+from .groups import checked_haar_scale
 from .modes import FieldVector
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _refine, gl_nodes
 from .specfun import hankel2_0
@@ -194,63 +191,35 @@ def reduced_forms_axisym(A1: AxisymmetricAmplitude, A2: AxisymmetricAmplitude,
 
 # --- non-compact (BHP) reduction ---------------------------------------------
 
-def _slice_callable(f: FieldVector, n: int) -> Callable[[float], complex]:
-    def a_slice(k: float) -> complex:
-        return complex(f.amplitude(np.array([float(n), float(k), 0.0])))
-    return a_slice
-
-
 def project_bhp(f: FieldVector, n_max: Optional[int] = None,
                 quad: QuadratureConfig = DEFAULT_CONFIG) -> ReducedSequence:
     """Sequence A_n = (sqrt(2 pi)/i) * int dk (n^2+k^2)^(-1/4) a(n, k, 0).
 
-    The n = 0 integrand has a |k|^(-1/2) endpoint; with singularity_split the
-    substitution k = u|u| removes it exactly, otherwise a plain node-doubling
-    rule is attempted and fails on the singularity.
+    One adaptive integral over u, with k = u|u|, yields every A_n at once:
+    the substitution removes the |k|^(-1/2) endpoint of the n = 0 integrand
+    exactly, and the split at u = 0 keeps every other integrand smooth on
+    both halves.  Tolerances apply to the largest entry; an integral that
+    misses them raises QuadratureError.
     """
     if f.mass != 0.0:
         raise ValueError("the discrete reduction applies to the massless theory")
     if n_max is None:
         n_max = quad.n_max
+    ns = np.array(ordered_ns(n_max), dtype=float)
     lo, hi = f.support_box()
-    k_lo, k_hi = float(lo[1]) - 0.5, float(hi[1]) + 0.5
-    entries = {}
-    err_total = 0.0
-    for n in ordered_ns(n_max):
-        a_slice = _slice_callable(f, n)
-        if n == 0:
-            if quad.singularity_split:
-                u_hi = np.sqrt(max(abs(k_lo), abs(k_hi)))
-                g = lambda u: 2.0 * a_slice(u * abs(u))
-                re, er = _squad(lambda u: g(u).real, -u_hi, u_hi, points=[0.0],
-                                epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=300)
-                im, ei = _squad(lambda u: g(u).imag, -u_hi, u_hi, points=[0.0],
-                                epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=300)
-                q_val, q_err = re + 1j * im, er + ei
-            else:
-                q_val, q_err = _gl_ladder_singular(a_slice, k_lo, k_hi, quad)
-        else:
-            w = lambda k: (n * n + k * k) ** (-0.25)
-            re, er = _squad(lambda k: (a_slice(k) * w(k)).real, k_lo, k_hi,
-                            epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=300)
-            im, ei = _squad(lambda k: (a_slice(k) * w(k)).imag, k_lo, k_hi,
-                            epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=300)
-            q_val, q_err = re + 1j * im, er + ei
-        entries[n] = SQRT_2PI / 1j * q_val
-        err_total += SQRT_2PI * q_err
-    return ReducedSequence(entries, f.is_zero_mode_free(), err_total)
+    u_hi = np.sqrt(max(abs(float(lo[1]) - 0.5), abs(float(hi[1]) + 0.5)))
 
+    def integrand(u: float) -> np.ndarray:
+        k = np.stack([ns, np.full_like(ns, u * abs(u)), np.zeros_like(ns)], axis=-1)
+        return 2.0 * abs(u) * (ns * ns + u ** 4) ** -0.25 * f.amplitude(k)
 
-def _gl_ladder_singular(a_slice, k_lo, k_hi, quad):
-    """Plain doubling rule on the singular n = 0 integrand; raises on stall."""
-    def level(n_nodes: int) -> complex:
-        k, w = gl_nodes(n_nodes, k_lo, k_hi)
-        vals = np.array([a_slice(kk) for kk in k])
-        return complex(np.sum(w * vals * np.abs(k) ** -0.5))
-
-    return _refine(level, (64, 128, 256, 512, 1024), quad,
-                   "n = 0 projection integrand is singular; enable singularity_split",
-                   SingularQuadratureError)
+    q_val, q_err, info = quad_vec(integrand, -u_hi, u_hi, epsabs=quad.abs_tol,
+                                  epsrel=quad.rel_tol, norm="max", points=[0.0],
+                                  full_output=True)
+    if info.status != 0:
+        raise QuadratureError(f"mode-constant integral did not converge: {info.message}")
+    entries = {int(n): SQRT_2PI / 1j * v for n, v in zip(ns, q_val)}
+    return ReducedSequence(entries, f.is_zero_mode_free(), SQRT_2PI * float(q_err))
 
 
 # --- null-space / rank analysis ----------------------------------------------
@@ -271,6 +240,7 @@ def null_space_analysis(fields: Sequence[FieldVector], group: str,
     max(inclusion_tol, 4 sqrt(lambda_j / lambda_max)); a genuine inclusion
     failure would show an Omega residual of order one instead.
     """
+    haar_scale = checked_haar_scale(haar_scale)
     m = len(fields)
     if m == 0 or m > 40:
         raise ValueError("null_space_analysis expects between 1 and 40 fields")
@@ -280,7 +250,7 @@ def null_space_analysis(fields: Sequence[FieldVector], group: str,
 
         for i in range(m):
             for j in range(i, m):
-                B[i, j] = average_bform_circle(fields[i], fields[j], quad).value * haar_scale
+                B[i, j] = average_bform_circle(fields[i], fields[j], quad, haar_scale).value
                 if j > i:
                     B[j, i] = np.conj(B[i, j])
     elif group == "bhp":

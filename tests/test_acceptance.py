@@ -13,7 +13,6 @@ import numpy as np
 
 from ccr_reduce import (
     BHPElement,
-    HaarMeasure,
     RotationElement,
     add,
     apply_A,
@@ -319,8 +318,7 @@ def test_criterion_11_measure_rescaling():
     base_b = average_bform_bhp_reduced(g1, g2, quad, sequences=(s1, s2)).value
     worst = 0.0
     for c in (0.5, 2.0, 10.0):
-        scaled = average_form_circle("mu", f1, f2, quad,
-                                     measure=HaarMeasure.circle(c)).value.real
+        scaled = average_form_circle("mu", f1, f2, quad, haar_scale=c).value.real
         worst = max(worst, abs(scaled - c * base_c) / max(abs(c * base_c), 1e-12))
         scaled_b = average_bform_bhp_reduced(g1, g2, quad, haar_scale=c,
                                              sequences=(s1, s2)).value

@@ -5,7 +5,6 @@ from ccr_reduce import (
     BHPElement,
     FieldVector,
     GaussianPacket,
-    HaarMeasure,
     RotationElement,
     ZeroModeDivergenceError,
     add,
@@ -130,8 +129,7 @@ class TestCircleAverage:
         f1, f2 = random_field(rng), random_field(rng)
         base = average_form_circle("mu", f1, f2, quad).value.real
         for c in (0.5, 2.0, 10.0):
-            scaled = average_form_circle("mu", f1, f2, quad,
-                                         measure=HaarMeasure.circle(c)).value.real
+            scaled = average_form_circle("mu", f1, f2, quad, haar_scale=c).value.real
             assert scaled == pytest.approx(c * base, rel=1e-12)
 
     def test_rejects_unknown_form(self, rng, quad):

@@ -7,16 +7,20 @@ from ccr_reduce import (
     FieldVector,
     GaussianPacket,
     GroupMismatchError,
-    HaarMeasure,
     MassMismatchError,
     RotationElement,
     apply_group,
+    average_bform_bhp_gave,
+    average_bform_bhp_reduced,
+    average_bform_circle,
+    average_form_circle,
     compose,
     inverse,
     mu,
+    null_space_analysis,
 )
 
-from conftest import random_field
+from conftest import random_field, random_s0_field
 
 TWO_PI = 2 * np.pi
 
@@ -127,13 +131,20 @@ class TestBHPAction:
         assert m1 == pytest.approx(m0, rel=1e-6)
 
 
-class TestHaarMeasure:
-    def test_kinds(self):
-        assert HaarMeasure.circle().kind == "normalized-circle"
-        assert HaarMeasure.bhp(2.0).scale == 2.0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            HaarMeasure("lebesgue", 1.0)
-        with pytest.raises(ValueError):
-            HaarMeasure.circle(-1.0)
+class TestHaarScale:
+    def test_invalid_scale_rejected(self, rng, quad):
+        # a Haar measure is unique only up to a positive finite scale; any
+        # other scale would turn the averaged vacuum norm negative or NaN
+        f, g = random_s0_field(rng), random_s0_field(rng)
+        for c in (-1.0, 0.0, float("nan"), float("inf")):
+            calls = (
+                lambda: average_bform_circle(f, g, quad, haar_scale=c),
+                lambda: average_form_circle("mu", f, g, quad, haar_scale=c),
+                lambda: average_bform_bhp_gave(f, g, quad, haar_scale=c),
+                lambda: average_bform_bhp_reduced(f, f, quad, haar_scale=c),
+                lambda: null_space_analysis([f, g], "bhp", quad, haar_scale=c),
+                lambda: null_space_analysis([f, g], "circle", quad, haar_scale=c),
+            )
+            for call in calls:
+                with pytest.raises(ValueError, match="haar_scale"):
+                    call()

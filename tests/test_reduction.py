@@ -1,5 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccr_reduce import (
     BHPElement,
@@ -25,7 +27,7 @@ from ccr_reduce import (
     transform_zero_mode,
     zero_mode_symplectic_map,
 )
-from ccr_reduce.errors import SingularQuadratureError
+from ccr_reduce.errors import QuadratureError
 from ccr_reduce.reduction import GowdySolution, ReducedSequence, ordered_ns
 
 from conftest import random_field, random_s0_field
@@ -106,19 +108,39 @@ class TestProjectBhp:
         assert project_bhp(random_s0_field(rng), 3, quad_bhp).zero_mode_defined
         assert not project_bhp(random_field(rng, mass=0.0), 3, quad_bhp).zero_mode_defined
 
-    def test_singular_failure_without_split(self, rng):
-        quad = QuadratureConfig(singularity_split=False, rel_tol=1e-10, abs_tol=1e-14)
-        f = random_field(rng, mass=0.0)
-        with pytest.raises(SingularQuadratureError):
-            project_bhp(f, 1, quad)
+    def test_off_axis_modes_vs_mpmath(self):
+        # A_n = (sqrt(2 pi)/i) int (n^2+k^2)^(-1/4) a(n, k, 0) dk, n != 0,
+        # integrated in k by mpmath at 30 digits from the closed-form packet
+        c, w, coeff = (1.2, 0.4, -0.3), (0.8, 0.7, 0.9), 0.6 - 0.3j
+        f = FieldVector(0.0, (GaussianPacket(c, w, coeff),))
+        s = project_bhp(f, 2, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15))
+        with mpmath.workdps(30):
+            for n in (-2, -1, 1, 2):
+                def a_slice(k):
+                    d = [(n - c[0]) / w[0], (k - c[1]) / w[1], (0 - c[2]) / w[2]]
+                    return coeff * mpmath.exp(-sum(x * x for x in d) / 2)
 
-    def test_boost_invariance_of_sequence(self, rng, quad_bhp):
-        # A_n is exactly invariant under the group; quadrature sees it too
+                q = mpmath.quad(lambda k: (n * n + k * k) ** -0.25 * a_slice(k),
+                                [-mpmath.inf, c[1], mpmath.inf])
+                oracle = complex(mpmath.sqrt(2 * mpmath.pi) / 1j * q)
+                assert s.entries[n] == pytest.approx(oracle, rel=1e-10)
+
+    def test_unconverged_integral_raises(self, rng):
+        # rel_tol 1e-16 is below what the adaptive rule can reach in double
+        # precision: the projection must say so instead of returning
         f = random_s0_field(rng)
-        s0 = project_bhp(f, 4, quad_bhp)
-        s1 = project_bhp(apply_group(BHPElement(2, 0.5, -1.2), f), 4, quad_bhp)
-        for n in s0.entries:
-            assert s1.entries[n] == pytest.approx(s0.entries[n], rel=2e-7, abs=1e-9)
+        with pytest.raises(QuadratureError):
+            project_bhp(f, 8, QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300))
+
+    @given(n=st.integers(-3, 3), alpha=st.floats(-1.0, 1.0), beta=st.floats(-2.0, 2.0))
+    @settings(max_examples=25, deadline=None)
+    def test_boost_invariance_of_sequence(self, n, alpha, beta):
+        # A_n is exactly invariant under the group; quadrature sees it too
+        f = random_s0_field(np.random.default_rng(20240901))
+        s0 = project_bhp(f, 4, QuadratureConfig())
+        s1 = project_bhp(apply_group(BHPElement(n, alpha, beta), f), 4, QuadratureConfig())
+        for m in s0.entries:
+            assert s1.entries[m] == pytest.approx(s0.entries[m], rel=2e-7, abs=1e-9)
 
 
 class TestReducedFormsBhp:
