@@ -98,9 +98,10 @@ def _scenario_axisym(fields, cfg, quad):
         a0 = amps[pairs[0][0]]
         kmax = a0.kappa_max()
         zlo, zhi = a0.kz_interval()
-        for kap in np.linspace(0.0, kmax, 25):
-            for kz in np.linspace(zlo, zhi, 25):
-                v = a0.value(kap, kz)
+        kaps, kzs = np.linspace(0.0, kmax, 25), np.linspace(zlo, zhi, 25)
+        grid = a0.value(kaps, kzs)
+        for kap, row in zip(kaps, grid):
+            for kz, v in zip(kzs, row):
                 rows.append({"kappa": kap, "kz": kz,
                              "re_A": complex(v).real, "im_A": complex(v).imag})
     return checks, rows, {}

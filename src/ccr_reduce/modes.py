@@ -55,6 +55,15 @@ class GaussianPacket:
         d = (K - self.center) / self.width
         return self.coeff * np.exp(-0.5 * np.sum(d * d, axis=-1))
 
+    def z_factors(self, Kxy: Array, kz: Array):
+        """The amplitude as X(k_x, k_y) * Z(k_z), with the coefficient in X.
+
+        Kxy has shape (..., 2); X has shape (...) and Z the shape of kz.
+        """
+        d = (Kxy - self.center[:2]) / self.width[:2]
+        dz = (kz - self.center[2]) / self.width[2]
+        return self.coeff * np.exp(-0.5 * np.sum(d * d, axis=-1)), np.exp(-0.5 * dz * dz)
+
     def box(self, mass: float = 0.0, nsig: float = 10.0):
         return self.center - nsig * self.width, self.center + nsig * self.width
 
@@ -103,6 +112,28 @@ class TransformedPacket:
         if factor is not None:
             out = out * factor
         return out
+
+    def z_factors(self, Kxy: Array, kz: Array):
+        """The amplitude as X(k_x, k_y) * Z(k_z), for a chain without boosts.
+
+        Rotations about z and unboosted BHP elements leave k_z fixed, so each
+        linear phase splits into its (k_x, k_y) part and beta * k_z; a boost
+        mixes k_z into the frequency and does not factorise.
+        """
+        if self.has_boost:
+            raise ValueError("a boosted term does not factorise into xy and k_z parts")
+        # the chain acts on (k_x, k_y, 0), so K_cur @ pv is the xy phase alone
+        K_cur = np.concatenate([Kxy, np.zeros(Kxy.shape[:-1] + (1,))], axis=-1)
+        phase = np.zeros(K_cur.shape[:-1])
+        beta = 0.0
+        for g in self.chain:
+            pv = g.phase_vector()
+            if pv is not None:
+                phase = phase + K_cur @ pv
+                beta += pv[2]
+            K_cur = g.inverse_momentum_map(K_cur, 0.0)
+        x, z = self.base.z_factors(K_cur[..., :2], kz)
+        return x * np.exp(1j * phase), z * np.exp(1j * beta * np.asarray(kz))
 
     def box(self, mass: float = 0.0, nsig: float = 10.0):
         lo, hi = self.base.box(mass, nsig)

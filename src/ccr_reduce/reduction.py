@@ -82,8 +82,9 @@ class AxisymmetricAmplitude:
 
     The angular integral runs over the circle of radius kappa in the
     (k_x, k_y) plane; trapezoid sampling is spectrally accurate there.
-    Grid evaluations are cached per quadrature level so form assembly over
-    many pairs reuses each field's values.
+    Every term factorises as X_t(k_x, k_y) Z_t(k_z), so only the xy factor
+    is averaged over the ring.  Grid evaluations are cached per quadrature
+    level so form assembly over many pairs reuses each field's values.
     """
 
     source: FieldVector
@@ -94,34 +95,29 @@ class AxisymmetricAmplitude:
                     key=None) -> np.ndarray:
         if key is not None and key in self._cache:
             return self._cache[key]
-        KAP, KZ = np.meshgrid(kap_nodes, kz_nodes, indexing="ij")
-        vals = self.value(KAP, KZ)
+        vals = self.value(kap_nodes, kz_nodes)
         if key is not None:
             self._cache[key] = vals
         return vals
 
-    def value(self, kappa, kz):
-        kappa = np.asarray(kappa, dtype=float)
-        kz = np.asarray(kz, dtype=float)
-        kappa_b, kz_b = np.broadcast_arrays(kappa, kz)
-        shape = kappa_b.shape
-        kap_flat = kappa_b.reshape(-1)
-        kz_flat = kz_b.reshape(-1)
+    def value(self, kappa_nodes, kz_nodes):
+        """A on the tensor grid kappa_nodes x kz_nodes.
+
+        The result has shape kappa.shape + kz.shape (a complex for two
+        scalars): A = sqrt(kappa) sum_t <X_t>(kappa) Z_t(k_z), where <X_t> is
+        the ring mean of X_t, so each term costs n_kappa n_angle + n_z
+        evaluations.
+        """
+        kappa = np.asarray(kappa_nodes, dtype=float)
+        kz = np.asarray(kz_nodes, dtype=float)
         beta = 2.0 * np.pi * np.arange(self.n_angle) / self.n_angle
-        cb, sb = np.cos(beta), np.sin(beta)
-        out = np.empty(kap_flat.shape, dtype=complex)
-        step = max(1, 4_000_000 // max(self.n_angle, 1))
-        for i0 in range(0, len(kap_flat), step):
-            sl = slice(i0, i0 + step)
-            K = np.stack([kap_flat[sl, None] * cb,
-                          kap_flat[sl, None] * sb,
-                          np.broadcast_to(kz_flat[sl, None], (kap_flat[sl].size, beta.size))],
-                         axis=-1)
-            out[sl] = np.mean(self.source.amplitude(K), axis=-1)
-        out = np.sqrt(kap_flat) * out
-        if shape == ():
-            return complex(out[0])
-        return out.reshape(shape)
+        ring = kappa[..., None, None] * np.stack([np.cos(beta), np.sin(beta)], axis=-1)
+        out = np.zeros(kappa.shape + kz.shape, dtype=complex)
+        for t in self.source.terms:
+            x, z = t.z_factors(ring, kz)
+            out = out + np.multiply.outer(np.mean(x, axis=-1), z)
+        out = np.sqrt(kappa).reshape(kappa.shape + (1,) * kz.ndim) * out
+        return complex(out) if out.ndim == 0 else out
 
     def kappa_max(self) -> float:
         lo, hi = self.source.support_box()
@@ -137,7 +133,11 @@ def project_axisymmetric(f: FieldVector, n_angle: Optional[int] = None) -> Axisy
 
     The angular node count is chosen from the sharpest angular feature a
     packet can present (width over distance from the axis) unless given.
+    A boosted term is rejected with ValueError: its k_z dependence enters
+    through |k|, so it does not factorise into an xy part and a k_z part.
     """
+    if f.has_boost:
+        raise ValueError("the axisymmetric projection needs boost-free terms")
     if n_angle is None:
         centers = f.term_centers()
         r_c = float(np.max(np.hypot(centers[:, 0], centers[:, 1]))) if len(centers) else 0.0

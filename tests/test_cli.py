@@ -1,10 +1,11 @@
+import csv
 import json
 import subprocess
 import sys
 
 import pytest
 
-from ccr_reduce import project_bhp
+from ccr_reduce import project_axisymmetric, project_bhp
 from ccr_reduce.cli import ScenarioConfig, main, run_scenario
 from ccr_reduce.corpus import dump_corpus, generate_corpus, load_corpus
 
@@ -74,6 +75,22 @@ class TestScenarioRunner:
         report = run_scenario(ScenarioConfig("weyl", str(corpus), str(out)))
         assert report["results"]["n_failed"] == 0
 
+    def test_axisym_csv_rows_equal_scalar_values(self, tmp_path):
+        corpus = tmp_path / "c.json"
+        dump_corpus(generate_corpus(42, 2), corpus)
+        grid = tmp_path / "grid.csv"
+        report = run_scenario(ScenarioConfig("axisym", str(corpus),
+                                             str(tmp_path / "r.json"),
+                                             csv_path=str(grid)))
+        assert report["results"]["n_failed"] == 0
+        A = project_axisymmetric(load_corpus(corpus)[0])
+        with open(grid, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 625
+        for row in rows:
+            v = A.value(float(row["kappa"]), float(row["kz"]))
+            assert (float(row["re_A"]), float(row["im_A"])) == (v.real, v.imag)
+
     def test_report_determinism_modulo_timestamp(self, tmp_path):
         corpus = tmp_path / "c.json"
         dump_corpus(generate_corpus(21, 3), corpus)
@@ -125,12 +142,12 @@ class TestCliProcess:
 class TestInvalidFieldInput:
     @staticmethod
     def run_bounds(tmp_path, mass=0.0, width=(0.8, 0.9, 1.0), coeff=(0.6, -0.2),
-                   actions=()):
+                   actions=(), scenario="bounds"):
         term = {"center": [0.5, -0.4, 0.3], "width": list(width),
                 "coeff": list(coeff), "actions": list(actions)}
         corpus = tmp_path / "c.json"
         corpus.write_text(json.dumps({"fields": [{"mass": mass, "terms": [term]}]}))
-        return main(["run", "--scenario", "bounds", "--corpus", str(corpus),
+        return main(["run", "--scenario", scenario, "--corpus", str(corpus),
                      "--out", str(tmp_path / "r.json")])
 
     def test_valid_field_passes(self, tmp_path):
@@ -145,3 +162,9 @@ class TestInvalidFieldInput:
     def test_boost_on_massive_field_exits_2(self, tmp_path):
         boost = {"kind": "bhp", "n": 0, "alpha": 0.5, "beta": 0.0}
         assert self.run_bounds(tmp_path, mass=1.0, actions=[boost]) == 2
+
+    def test_axisym_with_boosted_term_exits_2(self, tmp_path, capsys):
+        # a boosted term does not factorise in k_z, so it cannot be projected
+        boost = {"kind": "bhp", "n": 0, "alpha": 0.5, "beta": 0.0}
+        assert self.run_bounds(tmp_path, actions=[boost], scenario="axisym") == 2
+        assert "boost-free" in capsys.readouterr().err

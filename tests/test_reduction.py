@@ -27,8 +27,16 @@ from ccr_reduce import (
     transform_zero_mode,
     zero_mode_symplectic_map,
 )
+from ccr_reduce.corpus import generate_corpus, load_corpus
 from ccr_reduce.errors import QuadratureError
-from ccr_reduce.reduction import GowdySolution, ReducedSequence, ordered_ns
+from ccr_reduce.quadrature import gl_nodes
+from ccr_reduce.reduction import (
+    AxisymmetricAmplitude,
+    GowdySolution,
+    ReducedSequence,
+    axisym_domain,
+    ordered_ns,
+)
 
 from conftest import random_field, random_s0_field
 
@@ -42,15 +50,45 @@ class TestProjectAxisymmetric:
             expected = np.sqrt(kap) * f.amplitude(np.array([kap, 0.0, kz]))
             assert A.value(kap, kz) == pytest.approx(complex(expected), rel=1e-12)
 
-    def test_against_angular_riemann_oracle(self):
-        f = FieldVector(0.0, (GaussianPacket([1, 0, 0], [1, 1, 1], 1.0),))
+    @pytest.mark.parametrize("f", [
+        FieldVector(0.0, (GaussianPacket([1, 0, 0], [1, 1, 1], 1.0),)),
+        # both phase kinds: a rotated anisotropic packet, and 2 pi n k_x + beta k_z
+        add(apply_group(RotationElement(0.8), FieldVector(0.0, (
+                GaussianPacket([0.9, -0.4, 0.3], [0.5, 1.1, 0.8], 0.6 - 0.3j),))),
+            apply_group(BHPElement(1, 0.0, 0.7), FieldVector(0.0, (
+                GaussianPacket([-0.5, 0.6, -0.2], [0.9, 0.7, 1.2], 0.4 + 0.5j),)))),
+    ], ids=["packet", "two-term"])
+    def test_against_angular_riemann_oracle(self, f):
+        # the tensor grid against a brute-force ring mean of the full amplitude
         A = project_axisymmetric(f)
-        kap, kz = 1.0, 0.0
+        kaps, kzs = np.array([0.4, 1.0, 1.7]), np.array([-0.6, 0.0, 0.9])
+        grid = A.value(kaps, kzs)
+        assert grid.shape == (3, 3)
         beta = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
-        K = np.stack([kap * np.cos(beta), kap * np.sin(beta), np.full_like(beta, kz)],
-                     axis=-1)
-        oracle = np.sqrt(kap) * np.mean(f.amplitude(K))
-        assert A.value(kap, kz) == pytest.approx(complex(oracle), abs=1e-10)
+        for i, kap in enumerate(kaps):
+            for j, kz in enumerate(kzs):
+                K = np.stack([kap * np.cos(beta), kap * np.sin(beta),
+                              np.full_like(beta, kz)], axis=-1)
+                oracle = np.sqrt(kap) * np.mean(f.amplitude(K))
+                assert grid[i, j] == pytest.approx(complex(oracle), abs=1e-12)
+
+    def test_angular_rule_resolved_at_top_level(self):
+        # the fixed n_angle has no error control: doubling it must not move A
+        # on the finest grid of the seed-42 corpus
+        amps = [project_axisymmetric(f) for f in load_corpus(generate_corpus(42, 6))]
+        kmax, zlo, zhi, nk, nz = axisym_domain(amps)
+        kap, _ = gl_nodes(int(nk * 2.0) + 8, 0.0, kmax)
+        kz, _ = gl_nodes(int(nz * 2.0) + 8, zlo, zhi)
+        for A in amps:
+            vals = A.value(kap, kz)
+            doubled = AxisymmetricAmplitude(A.source, 2 * A.n_angle).value(kap, kz)
+            assert np.max(np.abs(doubled - vals)) <= 1e-12 * np.max(np.abs(vals))
+
+    def test_boosted_term_rejected(self):
+        f = apply_group(BHPElement(0, 0.5, 0.0),
+                        FieldVector(0.0, (GaussianPacket([1, 0, 0], [1, 1, 1], 1.0),)))
+        with pytest.raises(ValueError):
+            project_axisymmetric(f)
 
     def test_axis_value_vanishes(self, rng):
         A = project_axisymmetric(random_field(rng))
