@@ -30,6 +30,7 @@ from .quadrature import (
     box_intersection,
     gl_nodes,
     oscillatory_grid,
+    spherical_grid,
 )
 from .reduction import ReducedSequence, ordered_ns, pair_sum, project_bhp
 from .specfun import cosh_phase_integral, hankel2_0
@@ -142,28 +143,33 @@ def average_bform_bhp_direct(f1: FieldVector, f2: FieldVector,
 
 
 def _direct_grid_batched(f1, f2, g_grid, counts):
-    from .quadrature import spherical_grid
-
     lo1, hi1 = f1.support_box()
     r_max = bounding_radius((lo1, hi1)) + 0.5
-    K, W = spherical_grid(r_max, *[int(c) for c in counts])
-    pre = W * np.conj(f1.amplitude(K))
-    kx = K[..., 0]
-    # k_z is azimuth-independent on the spherical grid, so once the n-phase
-    # has been applied the phi axis can be summed out before the beta phases
-    kz_profile = K[:, :, 0, 2]
+    r, wr, D, W = spherical_grid(r_max, *[int(c) for c in counts])
     by_alpha = {}
     for g, w in g_grid:
         by_alpha.setdefault(g.alpha, {}).setdefault(g.n, []).append((g, w))
+    boosted = {alpha: apply_group(BHPElement(0, alpha, 0.0), f2) for alpha in by_alpha}
+    # k_z is azimuth-independent on the spherical grid, so once the n-phase
+    # has been applied the phi axis can be summed out before the beta phases;
+    # the (nr, ntheta) sums are accumulated one radial shell at a time
+    collapsed = {(alpha, n): np.empty((len(r), D.shape[0]), dtype=complex)
+                 for alpha, by_n in by_alpha.items() for n in by_n}
+    for i, (ri, wi) in enumerate(zip(r, wr)):
+        K = ri * D
+        pre = wi * W * np.conj(f1.amplitude(K))
+        for alpha, by_n in by_alpha.items():
+            amp = pre * boosted[alpha].amplitude(K)
+            for n in by_n:
+                vals = amp if n == 0 else amp * np.exp(2j * np.pi * n * K[..., 0])
+                collapsed[alpha, n][i] = np.sum(vals, axis=1)
+    kz_profile = r[:, None] * D[None, :, 0, 2]
     out = []
     for alpha, by_n in by_alpha.items():
-        boosted = apply_group(BHPElement(0, alpha, 0.0), f2)
-        amp = pre * boosted.amplitude(K)
         for n, members in by_n.items():
-            vals = amp if n == 0 else amp * np.exp(2j * np.pi * n * kx)
-            collapsed = np.sum(vals, axis=2)
             for g, w in members:
-                out.append((g, w * complex(np.sum(collapsed * np.exp(1j * g.beta * kz_profile)))))
+                out.append((g, w * complex(np.sum(collapsed[alpha, n]
+                                                  * np.exp(1j * g.beta * kz_profile)))))
     return out
 
 

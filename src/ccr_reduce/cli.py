@@ -190,8 +190,12 @@ def _scenario_nullspace(fields, cfg, quad):
         psi, chi = sub[0], sub[-1]
         h = BHPElement(1, 0.7, -0.9)
         null_vec = add(apply_group(h, psi), scale(psi, -1.0))
-        avg = averaging.average_bform_bhp_reduced(chi, null_vec, quad)
-        scale_ref = abs(averaging.average_bform_bhp_reduced(chi, psi, quad).value) + 1.0
+        s_chi, s_psi, s_null = (reduction.project_bhp(f, quad.n_max, quad)
+                                for f in (chi, psi, null_vec))
+        avg = averaging.average_bform_bhp_reduced(chi, null_vec, quad,
+                                                  sequences=(s_chi, s_null))
+        scale_ref = abs(averaging.average_bform_bhp_reduced(
+            chi, psi, quad, sequences=(s_chi, s_psi)).value) + 1.0
         checks.append(_check_below("bhp-null-annihilated",
                                    abs(avg.value) / scale_ref, 1e-6,
                                    "sequence projection of (Phi_h - 1) psi"))

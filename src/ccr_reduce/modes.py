@@ -26,7 +26,11 @@ def _vec3(x) -> Array:
 
 def omega_of(K: Array, mass: float) -> Array:
     """Relativistic frequency sqrt(|k|^2 + m^2) for stacked momenta (..., 3)."""
-    return np.sqrt(np.sum(np.square(K), axis=-1) + mass * mass)
+    # explicit sum over the length-3 axis: numpy's reduce adds in the same
+    # order, but its per-row dispatch dominates the cost on large blocks
+    K = np.asarray(K)
+    kx, ky, kz = K[..., 0], K[..., 1], K[..., 2]
+    return np.sqrt(kx * kx + ky * ky + kz * kz + mass * mass)
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,8 @@ class GaussianPacket:
 
     def amplitude(self, K: Array, mass: float = 0.0) -> Array:
         d = (K - self.center) / self.width
-        return self.coeff * np.exp(-0.5 * np.sum(d * d, axis=-1))
+        dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+        return self.coeff * np.exp(-0.5 * (dx * dx + dy * dy + dz * dz))
 
     def z_factors(self, Kxy: Array, kz: Array):
         """The amplitude as X(k_x, k_y) * Z(k_z), with the coefficient in X.

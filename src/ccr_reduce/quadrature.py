@@ -140,21 +140,35 @@ def adaptive_tensor3(
 
 
 def spherical_grid(r_max: float, nr: int, ntheta: int, nphi: int):
+    """Separable factors of the (r, cos theta, phi) product grid on |k| <= r_max.
+
+    Returns (r, wr), the radial nodes and their r^2-weighted GL weights, and
+    (D, W), the (ntheta, nphi, 3) unit directions and their (ntheta, nphi)
+    angular weights: the node of shell i at direction (j, l) is r[i] * D[j, l]
+    with weight wr[i] * W[j, l].  Callers evaluate one shell at a time, so no
+    (nr, ntheta, nphi, 3) array is ever built.
+    """
     r, wr = gl_nodes(nr, 0.0, r_max)
     c, wc = _leggauss(ntheta)
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    wphi = 2.0 * np.pi / nphi
-    R, C, P = np.meshgrid(r, c, phi, indexing="ij")
-    S = np.sqrt(np.maximum(0.0, 1.0 - C * C))
-    K = np.stack([R * S * np.cos(P), R * S * np.sin(P), R * C], axis=-1)
-    W = (wr * r * r)[:, None, None] * wc[None, :, None] * wphi
-    return K, W
+    s = np.sqrt(np.maximum(0.0, 1.0 - c * c))
+    D = np.stack(np.broadcast_arrays(s[:, None] * np.cos(phi), s[:, None] * np.sin(phi),
+                                     c[:, None]), axis=-1)
+    W = np.outer(wc, np.full(nphi, 2.0 * np.pi / nphi))
+    return r, wr * r * r, D, W
 
 
 def spherical_integral(fn: Callable[[Array], Array], r_max: float, counts) -> complex:
+    """Integral of fn over |k| <= r_max on the spherical grid with the given counts.
+
+    fn is called once per radial shell with an (ntheta, nphi, 3) block.
+    """
     nr, nt, nphi = counts
-    K, W = spherical_grid(r_max, int(nr), int(nt), int(nphi))
-    return complex(np.sum(W * fn(K)))
+    r, wr, D, W = spherical_grid(r_max, int(nr), int(nt), int(nphi))
+    total = 0.0 + 0.0j
+    for ri, wi in zip(r, wr):
+        total += wi * complex(np.sum(W * fn(ri * D)))
+    return total
 
 
 def adaptive_spherical(

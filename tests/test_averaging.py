@@ -25,7 +25,15 @@ from ccr_reduce import (
     zero_mode_divergence_probe,
 )
 from ccr_reduce.errors import QuadratureError
-from ccr_reduce.quadrature import QuadratureConfig, _refine, adaptive_spherical, adaptive_tensor3
+from ccr_reduce.quadrature import (
+    QuadratureConfig,
+    _leggauss,
+    _refine,
+    adaptive_spherical,
+    adaptive_tensor3,
+    gl_nodes,
+    spherical_integral,
+)
 
 from conftest import random_field, random_s0_field
 
@@ -88,6 +96,49 @@ class TestRefinementLadders:
         with pytest.raises(QuadratureError):
             adaptive_spherical(fn, 6.0, QuadratureConfig(), base_counts=(24, 16, 16),
                                max_counts=(200, 200, 16))
+
+
+def whole_grid_integral(fn, r_max, counts):
+    """Reference: the spherical rule summed over the full (nr, nt, nphi, 3) grid."""
+    nr, nt, nphi = counts
+    r, wr = gl_nodes(nr, 0.0, r_max)
+    c, wc = _leggauss(nt)
+    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    R, C, P = np.meshgrid(r, c, phi, indexing="ij")
+    S = np.sqrt(np.maximum(0.0, 1.0 - C * C))
+    K = np.stack([R * S * np.cos(P), R * S * np.sin(P), R * C], axis=-1)
+    W = (wr * r * r)[:, None, None] * wc[None, :, None] * (2.0 * np.pi / nphi)
+    return complex(np.sum(W * fn(K)))
+
+
+class TestSphericalShells:
+    def test_one_shell_per_call_at_the_cap(self):
+        # the bhp_reduced_integrand cap: a whole grid would need 1.4 GB for K
+        shapes = []
+
+        def fn(K):
+            shapes.append(K.shape)
+            return np.zeros(K.shape[:-1])
+
+        assert spherical_integral(fn, 5.0, (380, 280, 560)) == 0.0
+        assert len(shapes) == 380
+        assert max(int(np.prod(sh[:-1])) for sh in shapes) <= 280 * 560
+
+    def test_polynomial_is_exact(self):
+        # integral over |k| <= R of k_x^2 + k_z^4 = 4 pi R^5 / 15 + 4 pi R^7 / 35
+        R = 1.7
+        exact = 4.0 * np.pi * R**5 / 15.0 + 4.0 * np.pi * R**7 / 35.0
+        value = spherical_integral(lambda K: K[..., 0] ** 2 + K[..., 2] ** 4, R, (6, 5, 8))
+        assert abs(value - exact) <= 1e-13 * exact
+
+    def test_matches_whole_grid_sum(self):
+        def fn(K):
+            d = K - np.array([0.4, -0.3, 0.7])
+            return np.exp(-np.sum(d * d, axis=-1) / 1.3 + 0.6j * K[..., 1])
+
+        counts = (60, 40, 80)
+        ref = whole_grid_integral(fn, 6.0, counts)
+        assert abs(spherical_integral(fn, 6.0, counts) - ref) <= 1e-14 * abs(ref)
 
 
 class TestCircleAverage:

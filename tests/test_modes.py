@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ccr_reduce import (
     FieldVector,
@@ -15,6 +16,7 @@ from ccr_reduce import (
     field_to_json,
     scale,
 )
+from ccr_reduce.modes import omega_of
 
 from conftest import random_field
 
@@ -83,6 +85,23 @@ class TestAmplitude:
             radii = r0 * 1.2 ** np.arange(1, 8)
             vals = np.abs(f.amplitude(radii[:, None] * d)) * (1 + radii) ** 8
             assert np.all(np.diff(vals) <= 1e-20), "decay must beat (1+|k|)^8"
+
+
+class TestPointKernels:
+    @given(center=arrays(float, 3, elements=st.floats(-5, 5)),
+           width=arrays(float, 3, elements=st.floats(0.05, 4)),
+           coeff=st.complex_numbers(max_magnitude=10),
+           K=arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 5), st.just(3)),
+                    elements=st.floats(-30, 30)),
+           mass=st.sampled_from([0.0, 0.3, 2.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_explicit_sums_equal_axis_reductions(self, center, width, coeff, K, mass):
+        p = GaussianPacket(center, width, coeff)
+        d = (K - p.center) / p.width
+        assert np.array_equal(p.amplitude(K),
+                              p.coeff * np.exp(-0.5 * np.sum(d * d, axis=-1)))
+        assert np.array_equal(omega_of(K, mass),
+                              np.sqrt(np.sum(np.square(K), axis=-1) + mass * mass))
 
 
 class TestEvaluateField:
