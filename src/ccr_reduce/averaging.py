@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad as _squad
 
 from .errors import ZeroModeDivergenceError
-from .forms import FormValue, bform
+from .forms import FormValue, _tail_radius, bform
 from .groups import BHPElement, RotationElement, apply_group, checked_haar_scale
 from .modes import FieldVector, omega_of, zero_mode_slice
 from .quadrature import (
@@ -180,7 +180,10 @@ def bhp_reduced_integrand(f1: FieldVector, f2: FieldVector, g: BHPElement,
     Evaluates int d^3q sqrt(w(Lq)/w(q)) conj(a1)(Lq) a2(q) exp(i theta_g(q))
     with L the forward momentum map of g: a change of variables away from
     the direct transformed-pair quadrature, hence an independent route to
-    the same number.
+    the same number.  The ball is the smaller of the corner radius of the
+    support-box intersection and the radius from forms._tail_radius, with
+    |alpha| of g added to the rapidity of every f1 term, outside which the
+    closed-form bound on the integrand's |.|-mass is at most abs_tol / 100.
     """
     if f1.mass != 0.0 or f2.mass != 0.0:
         raise ValueError("the reduced integrand applies to the massless theory")
@@ -203,7 +206,7 @@ def bhp_reduced_integrand(f1: FieldVector, f2: FieldVector, g: BHPElement,
     inter = box_intersection(box2, box1_back)
     if inter is None:
         return FormValue(0.0 + 0.0j, 1e-15)
-    r_max = bounding_radius(inter)
+    r_max, _ = _tail_radius(f1, f2, quad, bounding_radius(inter), boost=abs(g.alpha))
     wmin = max(min(f1.min_width(), f2.min_width()), 1e-3)
     freq = 2.0 * np.pi * abs(g.n) + abs(g.beta)
     nr = int(np.clip(3.0 * r_max / wmin + 1.2 * freq * r_max / np.pi, 48, 320))

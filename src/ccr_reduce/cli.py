@@ -190,8 +190,9 @@ def _scenario_nullspace(fields, cfg, quad):
         psi, chi = sub[0], sub[-1]
         h = BHPElement(1, 0.7, -0.9)
         null_vec = add(apply_group(h, psi), scale(psi, -1.0))
-        s_chi, s_psi, s_null = (reduction.project_bhp(f, quad.n_max, quad)
-                                for f in (chi, psi, null_vec))
+        seqs = [reduction.project_bhp(f, quad.n_max, quad) for f in sub]
+        s_psi, s_chi = seqs[0], seqs[-1]
+        s_null = reduction.project_bhp(null_vec, quad.n_max, quad)
         avg = averaging.average_bform_bhp_reduced(chi, null_vec, quad,
                                                   sequences=(s_chi, s_null))
         scale_ref = abs(averaging.average_bform_bhp_reduced(
@@ -199,7 +200,7 @@ def _scenario_nullspace(fields, cfg, quad):
         checks.append(_check_below("bhp-null-annihilated",
                                    abs(avg.value) / scale_ref, 1e-6,
                                    "sequence projection of (Phi_h - 1) psi"))
-        report = reduction.null_space_analysis(sub, "bhp", quad)
+        report = reduction.null_space_analysis(sub, "bhp", quad, sequences=seqs)
         extras["bhp_gram"] = report
         checks.append(_check_below("bhp-null-inclusion",
                                    0.0 if report["inclusion_holds"] else 1.0, 0.5,

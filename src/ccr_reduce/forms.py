@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc
 
 from .errors import MassMismatchError, NegativeFormError
-from .modes import FieldVector, GaussianPacket, add, scale
+from .modes import FieldVector, GaussianPacket, TransformedPacket, add, scale
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -90,7 +91,72 @@ def _closed_pair(a1, a2) -> complex:
             / np.sqrt(np.linalg.det(M)) * np.exp(expo))
 
 
+def _tail_radius(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig,
+                 r_max: float, boost: float = 0.0):
+    """Radius R <= r_max of a ball outside which |conj(a1) a2| has mass <= abs_tol / 100.
+
+    Every term obeys |a_t(k)| <= C_t exp(-(e^{-A_t} |k| - |c_t|)_+^2 / 2 w_t^2),
+    with c_t the centre and w_t the largest width of its base packet, A_t the
+    summed |rapidity| of its action chain and C_t = |coeff_t| e^{A_t / 2}:
+    rotations and translations keep |k|, while a y-boost of rapidity alpha
+    shrinks |k| by at most e^{-|alpha|} and multiplies the frequency ratio
+    by at most e^{|alpha|}.  `boost` is added to every f1 term's A_t, for
+    integrands that evaluate f1 at a boosted momentum and carry the square
+    root of its frequency ratio.  Beyond max_t |c_t| e^{A_t} each pair
+    exponent is an exact square in r, so the mass outside |k| = R has a
+    closed form in erfc; R is the bisected smallest radius whose bound
+    meets abs_tol / 100.  Returns (R, bound at R); R is r_max, with its
+    bound (infinite where no closed form applies), when the target cannot
+    be met inside r_max.
+    """
+    def envelope(f, extra):
+        rows = []
+        for t in f.terms:
+            base, chain = (t.base, t.chain) if isinstance(t, TransformedPacket) else (t, ())
+            A = extra + sum(abs(g.total_rapidity()) for g in chain)
+            rows.append((abs(base.coeff) * np.exp(0.5 * A), np.exp(-A),
+                         np.linalg.norm(base.center), np.max(base.width)))
+        C, a, c, w = np.array(rows).T
+        return C, c / a, a * a / (2.0 * w * w)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        C1, x1, p1 = envelope(f1, boost)
+        C2, x2, p2 = envelope(f2, 0.0)
+        r_lo = max(np.max(x1), np.max(x2))
+    if not r_lo < r_max:
+        return r_max, np.inf
+    # pair (s, t): p1 (r - x1)^2 + p2 (r - x2)^2 = P (r - m)^2 + q0 for r >= r_lo
+    x1, p1, x2, p2 = x1[:, None], p1[:, None], x2[None, :], p2[None, :]
+    P = p1 + p2
+    m = (p1 * x1 + p2 * x2) / P
+    pref = 4.0 * np.pi * np.outer(C1, C2) * np.exp(-p1 * p2 / P * (x1 - x2) ** 2)
+
+    def tail(R):
+        # int_R^inf r^2 exp(-P (r - m)^2) dr, with u = r - m >= 0
+        u = R - m
+        gauss = 0.5 * np.sqrt(np.pi / P) * erfc(np.sqrt(P) * u)
+        return float(np.sum(pref * ((m * m + 0.5 / P) * gauss
+                                    + (u + 2.0 * m) * np.exp(-P * u * u) / (2.0 * P))))
+
+    target = 1e-2 * quad.abs_tol
+    if tail(r_max) > target:
+        return r_max, tail(r_max)
+    if tail(r_lo) <= target:
+        return r_lo, tail(r_lo)
+    lo, hi = r_lo, r_max
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if tail(mid) <= target else (mid, hi)
+    return hi, tail(hi)
+
+
 def _numeric_bform(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig) -> FormValue:
+    """B(f1, f2) on the spherical grid, for pairs with a boosted term.
+
+    The ball is the smaller of the corner radius of the support-box
+    intersection and the radius from _tail_radius, outside which the
+    closed-form bound on int |conj(a1) a2| d^3k is at most abs_tol / 100.
+    """
     boxes1 = f1.term_boxes()
     boxes2 = f2.term_boxes()
     pieces = [box_intersection(b1, b2) for b1 in boxes1 for b2 in boxes2]
@@ -105,10 +171,10 @@ def _numeric_bform(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig) -> 
 
     # only boosted terms reach here, and boosts exist only for mass 0: the
     # boost frequency ratio is bounded but direction-dependent at the
-    # origin; in spherical coordinates it is smooth, so integrate the whole
-    # bounding ball on the (r, cos theta, phi) grid
+    # origin; in spherical coordinates it is smooth, so integrate a ball
+    # about the origin on the (r, cos theta, phi) grid
     wmin = max(min(f1.min_width(), f2.min_width()), 1e-3)
-    r_max = bounding_radius((lo, hi))
+    r_max, _ = _tail_radius(f1, f2, quad, bounding_radius((lo, hi)))
     nr = int(np.clip(3.0 * r_max / wmin, 48, 240))
     val, err = adaptive_spherical(integrand, r_max, quad,
                                   base_counts=(nr, 48, 96),

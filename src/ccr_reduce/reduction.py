@@ -16,6 +16,7 @@ import numpy as np
 from scipy.integrate import quad_vec
 
 from .errors import NonSymplecticError, QuadratureError, ZeroModeUndefinedError
+from .forms import mu
 from .groups import checked_haar_scale
 from .modes import FieldVector
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _refine, gl_nodes
@@ -228,22 +229,31 @@ def null_space_analysis(fields: Sequence[FieldVector], group: str,
                         quad: QuadratureConfig = DEFAULT_CONFIG,
                         haar_scale: float = 1.0,
                         rank_tol: float = 1e-8,
-                        inclusion_tol: float = 1e-6) -> dict:
+                        inclusion_tol: float = 1e-6,
+                        sequences: Optional[Sequence[ReducedSequence]] = None) -> dict:
     """Gram-matrix rank analysis of the averaged forms on a span of fields.
 
     Builds the Gram matrices of mu_G and Omega_G, ranks mu_G by eigenvalue
-    threshold rank_tol relative to the largest eigenvalue, and verifies that
-    every numerical null direction of mu_G is annihilated by Omega_G.  A
-    direction that is only numerically null (eigenvalue lambda_j below the
-    threshold but nonzero) cannot be more Omega-null than the quasi-free
-    bound allows, so each residual is tested against
-    max(inclusion_tol, 4 sqrt(lambda_j / lambda_max)); a genuine inclusion
-    failure would show an Omega residual of order one instead.
+    threshold rank_tol relative to a scale, and verifies that every
+    numerical null direction of mu_G is annihilated by Omega_G.  The scale
+    is the larger of the largest eigenvalue and the un-averaged scale
+    haar_scale * max_i mu(f_i, f_i), which bounds every circle-averaged
+    entry by the quasi-free bound; the second keeps a Gram that vanishes
+    identically (every field with a zero ring mean) from ranking its
+    roundoff.  A direction that is only numerically null (eigenvalue
+    lambda_j below the threshold but nonzero) cannot be more Omega-null
+    than the quasi-free bound allows, so each residual, relative to the
+    scale, is tested against max(inclusion_tol, 4 sqrt(lambda_j / scale));
+    a genuine inclusion failure would show an Omega residual of order one
+    instead.  For group "bhp", `sequences` may pass the fields' projections
+    (one per field, from project_bhp) so that they are not recomputed.
     """
     haar_scale = checked_haar_scale(haar_scale)
     m = len(fields)
     if m == 0 or m > 40:
         raise ValueError("null_space_analysis expects between 1 and 40 fields")
+    if sequences is not None and (group != "bhp" or len(sequences) != m):
+        raise ValueError("sequences need group 'bhp' and one entry per field")
     B = np.zeros((m, m), dtype=complex)
     if group == "circle":
         from .averaging import average_bform_circle  # deferred import, cycle
@@ -254,23 +264,24 @@ def null_space_analysis(fields: Sequence[FieldVector], group: str,
                 if j > i:
                     B[j, i] = np.conj(B[i, j])
     elif group == "bhp":
-        seqs = [project_bhp(f, quad.n_max, quad) for f in fields]
+        if sequences is None:
+            sequences = [project_bhp(f, quad.n_max, quad) for f in fields]
         for i in range(m):
             for j in range(m):
-                B[i, j] = haar_scale * pair_sum(seqs[i], seqs[j])
+                B[i, j] = haar_scale * pair_sum(sequences[i], sequences[j])
     else:
         raise ValueError(f"unknown group {group!r}")
 
     gram_mu = 0.5 * (B.real + B.real.T)
     gram_om = -2.0 * 0.5 * (B.imag - B.imag.T)
     evals, evecs = np.linalg.eigh(gram_mu)
-    lam_max = float(np.max(np.abs(evals))) if m else 0.0
-    thresh = rank_tol * lam_max
+    unaveraged = haar_scale * max(mu(f, f, quad).value for f in fields)
+    scale = max(float(np.max(np.abs(evals))), unaveraged) + 1e-300
+    thresh = rank_tol * scale
     keep = evals > thresh
     rank = int(np.sum(keep))
     null_evals = evals[~keep]
     null_vecs = evecs[:, ~keep]
-    scale = lam_max + 1e-300
     om_on_null = [float(np.max(np.abs(gram_om @ null_vecs[:, j]))) / scale
                   for j in range(null_vecs.shape[1])]
     inclusion = all(

@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ccr_reduce import (
     BHPElement,
     FieldVector,
     GaussianPacket,
     RotationElement,
+    TransformedPacket,
     ZeroModeDivergenceError,
     add,
     apply_group,
@@ -24,7 +28,10 @@ from ccr_reduce import (
     substitution_check,
     zero_mode_divergence_probe,
 )
+from ccr_reduce import averaging, forms
+from ccr_reduce.corpus import generate_corpus, load_corpus
 from ccr_reduce.errors import QuadratureError
+from ccr_reduce.modes import omega_of
 from ccr_reduce.quadrature import (
     QuadratureConfig,
     _leggauss,
@@ -32,6 +39,7 @@ from ccr_reduce.quadrature import (
     adaptive_spherical,
     adaptive_tensor3,
     gl_nodes,
+    spherical_grid,
     spherical_integral,
 )
 
@@ -139,6 +147,121 @@ class TestSphericalShells:
         counts = (60, 40, 80)
         ref = whole_grid_integral(fn, 6.0, counts)
         assert abs(spherical_integral(fn, 6.0, counts) - ref) <= 1e-14 * abs(ref)
+
+
+bhp_elements = st.builds(BHPElement, st.integers(-1, 1), st.floats(-1.0, 1.0),
+                         st.floats(-2.0, 2.0))
+
+
+def shell_integral(fn, r_in, r_out, counts=(64, 48, 96)):
+    """Product-rule integral of fn over r_in <= |k| <= r_out, shell by shell."""
+    nr, nt, nphi = counts
+    _, _, D, W = spherical_grid(1.0, 1, nt, nphi)
+    r, wr = gl_nodes(nr, r_in, r_out)
+    return sum(wi * ri * ri * float(np.sum(W * fn(ri * D))) for ri, wi in zip(r, wr))
+
+
+@st.composite
+def tail_terms(draw):
+    """A Gaussian term, bare or behind a rotation and/or a BHP element (|alpha| <= 1)."""
+    num = st.floats(-2.5, 2.5)
+    base = GaussianPacket([draw(num) for _ in range(3)],
+                          [draw(st.floats(0.6, 1.2)) for _ in range(3)],
+                          complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))))
+    chain = []
+    if draw(st.booleans()):
+        chain.append(RotationElement(draw(st.floats(0.0, 2.0 * np.pi))))
+    if draw(st.booleans()):
+        chain.append(draw(bhp_elements))
+    if draw(st.booleans()):
+        chain.reverse()
+    return TransformedPacket(base, tuple(chain)) if chain else base
+
+
+tail_fields = st.builds(lambda terms: FieldVector(0.0, tuple(terms)),
+                        st.lists(tail_terms(), min_size=1, max_size=2))
+CENTRED = FieldVector(0.0, (GaussianPacket([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1.0),))
+
+
+def check_tail_radius(module, route, integrand_abs, f1, f2, quad):
+    """The tail-bounded ball against the corner-radius ball, for one route.
+
+    The full ball is `route` with `module._tail_radius` replaced by the
+    identity on its radius; the closed-form tail at the shrunk radius must
+    bound the brute-force |integrand| mass between the two radii, for
+    several targets, and both balls must give the same value wherever the
+    full ball converges.
+    """
+    seen = []
+
+    def full_ball(f1, f2, quad, r_max, boost=0.0):
+        seen.append((r_max, boost))
+        return r_max, np.inf
+
+    with mock.patch.object(module, "_tail_radius", full_ball):
+        try:
+            full = route(quad).value
+        except QuadratureError:  # the full ball's radial count hit its cap
+            full = None
+    if not seen:  # disjoint supports: no ball at all
+        return
+    (r_box, boost), = seen
+    for abs_tol in (1e-4, 1e-8, quad.abs_tol):
+        R, bound = forms._tail_radius(f1, f2, QuadratureConfig(abs_tol=abs_tol), r_box, boost)
+        assert R <= r_box
+        if R < r_box:
+            assert bound <= 1e-2 * abs_tol
+            assert shell_integral(integrand_abs, R, r_box) <= bound * (1.0 + 1e-9)
+    if full is not None:
+        shrunk = route(quad).value
+        assert abs(shrunk - full) <= max(quad.abs_tol, quad.rel_tol * abs(full))
+
+
+class TestTailRadius:
+    @given(f1=tail_fields, f2=tail_fields)
+    @example(f1=CENTRED, f2=CENTRED)  # the bound is exact for this pair
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_numeric_bform_tail(self, f1, f2):
+        def integrand_abs(K):
+            return np.abs(f1.amplitude(K)) * np.abs(f2.amplitude(K))
+
+        quad = QuadratureConfig()
+        check_tail_radius(forms, lambda q: forms._numeric_bform(f1, f2, q),
+                          integrand_abs, f1, f2, quad)
+
+    @given(f1=tail_fields, f2=tail_fields, g=bhp_elements)
+    @example(f1=CENTRED, f2=CENTRED, g=BHPElement(0, 1.0, 0.0))  # needs g's rapidity
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_reduced_integrand_tail(self, f1, f2, g):
+        def integrand_abs(Q):
+            Qf = g.forward_momentum_map(Q, 0.0)
+            ratio = omega_of(Qf, 0.0) / omega_of(Q, 0.0)
+            return np.sqrt(ratio) * np.abs(f1.amplitude(Qf)) * np.abs(f2.amplitude(Q))
+
+        quad = QuadratureConfig()
+        check_tail_radius(averaging, lambda q: bhp_reduced_integrand(f1, f2, g, q),
+                          integrand_abs, f1, f2, quad)
+
+    def test_seed42_pair_translation_identity(self):
+        # on the s0 corpus pair (0, 1) the reduced single integral at
+        # g = (1, 0, 0) meets the closed form bform(f1, Phi_g f2) on a ball
+        # well inside the corner radius of the support-box intersection
+        f1, f2 = load_corpus(generate_corpus(42, 6, s0=True))[:2]
+        g = BHPElement(1, 0.0, 0.0)
+        quad = QuadratureConfig(n_max=8)
+        radii = []
+
+        def spy(f1, f2, quad, r_max, boost=0.0):
+            R, bound = forms._tail_radius(f1, f2, quad, r_max, boost)
+            radii.append((r_max, R))
+            return R, bound
+
+        with mock.patch.object(averaging, "_tail_radius", spy):
+            reduced = bhp_reduced_integrand(f1, f2, g, quad).value
+        closed = bform(f1, apply_group(g, f2), quad).value
+        assert abs(reduced - closed) <= 1e-9 * abs(closed)
+        (r_box, R), = radii
+        assert R < 0.7 * r_box
 
 
 class TestCircleAverage:

@@ -2,10 +2,11 @@ import csv
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
-from ccr_reduce import project_axisymmetric, project_bhp
+from ccr_reduce import project_axisymmetric, project_bhp, reduction
 from ccr_reduce.cli import ScenarioConfig, main, run_scenario
 from ccr_reduce.corpus import dump_corpus, generate_corpus, load_corpus
 
@@ -137,6 +138,23 @@ class TestCliProcess:
         out = tmp_path / "r.json"
         assert main(["run", "--scenario", "bhp-field", "--corpus", str(corpus),
                      "--out", str(out)]) == 2
+
+
+    def test_nullspace_on_s0_corpus_exits_0(self, tmp_path):
+        # every s0 field has a zero ring mean, so the whole circle Gram is
+        # roundoff: ranked against max mu(f_i, f_i) it has rank 0, and the
+        # chi and psi projections come from the one projection of the span
+        corpus = tmp_path / "c.json"
+        dump_corpus(generate_corpus(42, 6, s0=True), corpus)
+        out = tmp_path / "r.json"
+        with mock.patch.object(reduction, "project_bhp", wraps=reduction.project_bhp) as spy:
+            code = main(["run", "--scenario", "nullspace", "--corpus", str(corpus),
+                         "--out", str(out)])
+        assert code == 0
+        assert spy.call_count == 6 + 1  # the span and the null vector, once each
+        report = json.loads(out.read_text())
+        assert report["results"]["circle_gram"]["rank"] == 0
+        assert report["results"]["bhp_gram"]["rank"] == 6
 
 
 class TestInvalidFieldInput:

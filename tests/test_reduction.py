@@ -263,6 +263,16 @@ class TestNullSpace:
         with pytest.raises(ValueError):
             null_space_analysis([], "circle", quad)
 
+    def test_given_sequences_match_projections(self, rng, quad_bhp):
+        fields = [random_s0_field(rng) for _ in range(3)]
+        seqs = [project_bhp(f, quad_bhp.n_max, quad_bhp) for f in fields]
+        passed = null_space_analysis(fields, "bhp", quad_bhp, sequences=seqs)
+        assert passed == null_space_analysis(fields, "bhp", quad_bhp)
+        with pytest.raises(ValueError, match="sequences"):
+            null_space_analysis(fields, "bhp", quad_bhp, sequences=seqs[:2])
+        with pytest.raises(ValueError, match="sequences"):
+            null_space_analysis(fields, "circle", quad_bhp, sequences=seqs)
+
 
 class TestGowdy:
     def test_identification_is_exact(self, rng, quad_bhp):
