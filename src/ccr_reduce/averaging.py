@@ -18,8 +18,14 @@ import numpy as np
 from scipy.integrate import quad as _squad
 
 from .errors import ZeroModeDivergenceError
-from .forms import FormValue, _tail_radius, bform
-from .groups import BHPElement, RotationElement, apply_group, checked_haar_scale
+from .forms import FormValue, _affine_pair, _closed_pair, _tail_radius, bform
+from .groups import (
+    BHPElement,
+    RotationElement,
+    _rotation_matrix,
+    apply_group,
+    checked_haar_scale,
+)
 from .modes import FieldVector, omega_of, zero_mode_slice
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -62,13 +68,38 @@ def average_bform_circle(f1: FieldVector, f2: FieldVector,
 
     Trapezoid sums double until stable; the integrand is smooth and
     periodic, so the doubling difference is a faithful error estimate.
+    The rules nest: the first level evaluates 16 nodes, and each doubling
+    evaluates only the midpoints of the level before and adds them to a
+    running node sum.  Boost-free fields are folded once by
+    forms._affine_of_term, and a batch of nodes costs one stacked closed
+    form per term pair, since rotating a term by theta maps its
+    (M, b, phi) to (R M R^T, R b, R phi).  A boosted term has no closed
+    form: such pairs take bform(f1, Phi_theta f2) at each new node.
     """
     scale = checked_haar_scale(haar_scale)
+    folded = _affine_pair(f1, f2)
+
+    def node_sum(th) -> complex:
+        if folded is None:
+            return sum(bform(f1, apply_group(RotationElement(t), f2), quad).value for t in th)
+        aff1, aff2 = folded
+        R = _rotation_matrix(th)
+        RT = np.swapaxes(R, -1, -2)
+        acc = 0.0 + 0.0j
+        for c2, M2, b2, phi2 in aff2:
+            rotated = (c2, R @ M2 @ RT, R @ b2, R @ phi2)
+            for a1 in aff1:
+                acc += np.sum(_closed_pair(a1, rotated))
+        return acc
+
+    total, count = 0.0 + 0.0j, 0
 
     def level(n: int) -> complex:
-        th = 2.0 * np.pi * np.arange(n) / n
-        vals = [bform(f1, apply_group(RotationElement(t), f2), quad).value for t in th]
-        return complex(np.mean(np.asarray(vals, dtype=complex)))
+        nonlocal total, count
+        k = np.arange(n) if count == 0 else np.arange(1, n, 2)
+        total += node_sum(2.0 * np.pi * k / n)
+        count += len(k)
+        return complex(total / count)
 
     cur, err = _refine(level, (16 * 2**i for i in range(9)), quad,  # 16 ... 4096
                        "circle average did not stabilize under node doubling")

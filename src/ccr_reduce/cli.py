@@ -82,15 +82,15 @@ def _scenario_axisym(fields, cfg, quad):
             {i: fields[i] for p in pairs for i in p}.items()}
     domain = reduction.axisym_domain(list(amps.values())) if amps else None
     for i, j in pairs:
-        avg_mu = averaging.average_form_circle("mu", fields[i], fields[j], quad)
-        avg_om = averaging.average_form_circle("omega", fields[i], fields[j], quad)
+        avg = averaging.average_bform_circle(fields[i], fields[j], quad).value
+        avg_mu, avg_om = avg.real, -2.0 * avg.imag  # mu = Re B, Omega = -2 Im B
         om_hat, mu_hat = reduction.reduced_forms_axisym(amps[i], amps[j], quad,
                                                         domain=domain)
         pair_scale = abs(mu_hat) + 1e-9
-        checks.append(_check(f"average=restriction mu[{i},{j}]", avg_mu.value.real,
+        checks.append(_check(f"average=restriction mu[{i},{j}]", avg_mu,
                              mu_hat, 1e-6, "2D reduced-form quadrature",
                              floor=pair_scale))
-        checks.append(_check(f"average=restriction omega[{i},{j}]", avg_om.value.real,
+        checks.append(_check(f"average=restriction omega[{i},{j}]", avg_om,
                              om_hat, 1e-6, "2D reduced-form quadrature",
                              floor=pair_scale))
     rows = []

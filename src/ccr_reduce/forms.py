@@ -80,13 +80,34 @@ def _affine_of_term(term):
     return base.coeff, M, b, phi
 
 
-def _closed_pair(a1, a2) -> complex:
-    """Exact int d^3k conj(term1) term2 for two affine Gaussian terms."""
+def _affine_pair(f1: FieldVector, f2: FieldVector):
+    """Both fields' terms folded by _affine_of_term, or None if a term is boosted.
+
+    Raises MassMismatchError when the masses differ.
+    """
+    if f1.mass != f2.mass:
+        raise MassMismatchError(f"form of fields with masses {f1.mass} and {f2.mass}")
+    aff1 = [_affine_of_term(t) for t in f1.terms]
+    aff2 = [_affine_of_term(t) for t in f2.terms]
+    if any(a is None for a in aff1 + aff2):
+        return None
+    return aff1, aff2
+
+
+def _closed_pair(a1, a2):
+    """Exact int d^3k conj(term1) term2 for two affine Gaussian terms.
+
+    The second term may be a stack along a leading axis: with M2 of shape
+    (s, 3, 3) and b2, phi2 of shape (s, 3) the result is the array of the
+    s integrals of term1 against each stacked term.
+    """
     c1, M1, b1, phi1 = a1
     c2, M2, b2, phi2 = a2
     M = M1 + M2
-    v = M1 @ b1 + M2 @ b2 + 1j * (phi2 - phi1)
-    expo = 0.5 * v @ np.linalg.solve(M, v) - 0.5 * (b1 @ M1 @ b1 + b2 @ M2 @ b2)
+    M2b2 = (M2 @ b2[..., None])[..., 0]
+    v = M1 @ b1 + M2b2 + 1j * (phi2 - phi1)
+    Minv_v = np.linalg.solve(M, v[..., None])[..., 0]
+    expo = 0.5 * np.sum(v * Minv_v, axis=-1) - 0.5 * (b1 @ M1 @ b1 + np.sum(b2 * M2b2, axis=-1))
     return (np.conj(c1) * c2 * (2.0 * np.pi) ** 1.5
             / np.sqrt(np.linalg.det(M)) * np.exp(expo))
 
@@ -189,13 +210,11 @@ def bform(f1: FieldVector, f2: FieldVector,
     Closed form whenever both fields are free of boosts; otherwise adaptive
     quadrature with an error estimate.
     """
-    if f1.mass != f2.mass:
-        raise MassMismatchError(f"form of fields with masses {f1.mass} and {f2.mass}")
+    folded = _affine_pair(f1, f2)
     if f1.is_zero or f2.is_zero:
         return FormValue(0.0 + 0.0j, 0.0)
-    aff1 = [_affine_of_term(t) for t in f1.terms]
-    aff2 = [_affine_of_term(t) for t in f2.terms]
-    if all(a is not None for a in aff1) and all(a is not None for a in aff2):
+    if folded is not None:
+        aff1, aff2 = folded
         total = 0.0 + 0.0j
         for a1 in aff1:
             for a2 in aff2:

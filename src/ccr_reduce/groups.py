@@ -26,9 +26,13 @@ from .modes import FieldVector, GaussianPacket, TransformedPacket, omega_of
 TWO_PI = 2.0 * np.pi
 
 
-def _rotation_matrix(angle: float) -> np.ndarray:
+def _rotation_matrix(angle) -> np.ndarray:
+    """Rotation about z; an array of angles gives a stack of shape angle.shape + (3, 3)."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    R = np.zeros(np.shape(angle) + (3, 3))
+    R[..., 0, 0], R[..., 0, 1], R[..., 1, 0], R[..., 1, 1] = c, -s, s, c
+    R[..., 2, 2] = 1.0
+    return R
 
 
 @dataclass(frozen=True)

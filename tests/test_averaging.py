@@ -17,6 +17,7 @@ from ccr_reduce import (
     average_bform_bhp_gave,
     average_bform_bhp_reduced,
     average_field_bhp,
+    average_bform_circle,
     average_form_circle,
     bform,
     bhp_reduced_integrand,
@@ -30,7 +31,7 @@ from ccr_reduce import (
 )
 from ccr_reduce import averaging, forms
 from ccr_reduce.corpus import generate_corpus, load_corpus
-from ccr_reduce.errors import QuadratureError
+from ccr_reduce.errors import MassMismatchError, QuadratureError
 from ccr_reduce.modes import omega_of
 from ccr_reduce.quadrature import (
     QuadratureConfig,
@@ -264,7 +265,100 @@ class TestTailRadius:
         assert R < 0.7 * r_box
 
 
+def circle_node_mean(f1, f2, quad, n):
+    """Mean of bform(f1, Phi_theta f2) over the n trapezoid nodes, one node at a time."""
+    th = 2.0 * np.pi * np.arange(n) / n
+    return complex(np.mean([bform(f1, apply_group(RotationElement(t), f2), quad).value
+                            for t in th]))
+
+
+def circle_node_ladder(f1, f2, quad):
+    """The per-node circle average under the same doubling ladder, each level afresh.
+
+    Returns the value and the node count of the level it stopped at.
+    """
+    counts = []
+
+    def level(n):
+        counts.append(n)
+        return circle_node_mean(f1, f2, quad, n)
+
+    value, _ = _refine(level, (16 * 2**i for i in range(9)), quad,
+                       "per-node circle average did not stabilize")
+    return value, counts[-1]
+
+
+@st.composite
+def circle_terms(draw):
+    """A packet, xy-isotropic or not, bare or behind up to two group elements.
+
+    The elements are rotations and unboosted BHP elements, so every pair
+    has a closed form.
+    """
+    num = st.floats(-2.5, 2.5)
+    wx, wy, wz = (draw(st.floats(0.4, 1.2)) for _ in range(3))
+    base = GaussianPacket([draw(num) for _ in range(3)],
+                          [wx, wx if draw(st.booleans()) else wy, wz],
+                          complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))))
+    element = st.one_of(
+        st.builds(RotationElement, st.floats(0.0, 2.0 * np.pi)),
+        st.builds(BHPElement, st.integers(-1, 1), st.just(0.0), st.floats(-2.0, 2.0)))
+    chain = draw(st.lists(element, max_size=2))
+    return TransformedPacket(base, tuple(chain)) if chain else base
+
+
+@st.composite
+def circle_pairs(draw):
+    mass = draw(st.sampled_from([0.0, 1.0]))
+    terms = st.lists(circle_terms(), min_size=1, max_size=2)
+    return FieldVector(mass, tuple(draw(terms))), FieldVector(mass, tuple(draw(terms)))
+
+
+# off the z axis and narrow in x: B(f, Phi_theta f) is sharply peaked in theta
+NARROW = FieldVector(0.0, (GaussianPacket([2.0, 0.5, 0.3], [0.15, 0.4, 0.5], 1.0 - 0.5j),))
+NARROW_PAIR = (NARROW, apply_group(RotationElement(0.4), NARROW))
+
+
 class TestCircleAverage:
+    @given(pair=circle_pairs())
+    @example(pair=NARROW_PAIR)
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_matches_per_node_loop(self, pair):
+        f1, f2 = pair
+        quad = QuadratureConfig()
+        got = average_bform_circle(f1, f2, quad).value
+        ref, nodes = circle_node_ladder(f1, f2, quad)
+        assert abs(got - ref) <= max(quad.abs_tol, quad.rel_tol * abs(ref))
+        if nodes > 64:  # a ladder that climbed: also against the finest rule
+            fine = circle_node_mean(f1, f2, quad, 4096)
+            assert abs(got - fine) <= max(quad.abs_tol, quad.rel_tol * abs(fine))
+
+    def test_narrow_example_climbs_past_64_nodes(self, quad):
+        _, nodes = circle_node_ladder(*NARROW_PAIR, quad)
+        assert nodes > 64
+
+    def test_boosted_route_with_invariant_first_argument(self, rng, quad):
+        # an xy-isotropic packet on the z axis is rotation invariant, so
+        # every node equals bform(f1, f2); f2 has no closed form
+        f1 = FieldVector(0.0, (GaussianPacket([0.0, 0.0, 0.8], [0.9, 0.9, 1.1], 1.0 - 0.3j),))
+        f2 = apply_group(BHPElement(0, 0.3, 0.0), random_field(rng))
+        avg = average_bform_circle(f1, f2, quad)
+        direct = bform(f1, f2, quad).value
+        assert abs(avg.value - direct) <= 1e-8 * abs(direct)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_mass_mismatch_and_zero_field(self, rng, quad, alpha):
+        f2 = apply_group(BHPElement(0, alpha, 0.0), random_field(rng))
+        massive = random_field(rng, mass=1.0)
+        with pytest.raises(ValueError, match="haar_scale"):  # the scale is checked first
+            average_bform_circle(massive, f2, quad, haar_scale=-1.0)
+        with pytest.raises(MassMismatchError):
+            average_bform_circle(massive, f2, quad)
+        zero = FieldVector(0.0, ())
+        for f, g in ((zero, f2), (f2, zero)):
+            avg = average_bform_circle(f, g, quad)
+            assert avg.value == 0.0 and avg.error_estimate == 0.0
+
     def test_invariant_second_argument(self, rng, quad):
         # packet on the z axis, isotropic in the plane: already invariant
         f2 = FieldVector(0.0, (GaussianPacket([0, 0, 1.2], [0.8, 0.8, 1.0], 0.9 + 0.2j),))
