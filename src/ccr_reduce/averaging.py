@@ -18,10 +18,9 @@ import numpy as np
 from scipy.integrate import quad as _squad
 
 from .errors import ZeroModeDivergenceError
-from .forms import FormValue, _affine_pair, _closed_pair, _tail_radius, bform
+from .forms import FormValue, _affine_pair, _ball_bform, _closed_pair, _tail_radius, bform
 from .groups import (
     BHPElement,
-    RotationElement,
     _rotation_matrix,
     apply_group,
     checked_haar_scale,
@@ -66,23 +65,36 @@ def average_bform_circle(f1: FieldVector, f2: FieldVector,
                          haar_scale: float = 1.0) -> AverageResult:
     """(haar_scale / 2 pi) * integral over the circle of B(f1, Phi_theta f2).
 
-    Trapezoid sums double until stable; the integrand is smooth and
-    periodic, so the doubling difference is a faithful error estimate.
-    The rules nest: the first level evaluates 16 nodes, and each doubling
+    Boost-free fields are folded once by forms._affine_of_term, and a batch
+    of angles costs one stacked closed form per term pair, since rotating a
+    term by theta maps its (M, b, phi) to (R M R^T, R b, R phi).  Trapezoid
+    sums over the angle double until stable; the integrand is smooth and
+    periodic, so the doubling difference is a faithful error estimate.  The
+    rules nest: the first level evaluates 16 nodes, and each doubling
     evaluates only the midpoints of the level before and adds them to a
-    running node sum.  Boost-free fields are folded once by
-    forms._affine_of_term, and a batch of nodes costs one stacked closed
-    form per term pair, since rotating a term by theta maps its
-    (M, b, phi) to (R M R^T, R b, R phi).  A boosted term has no closed
-    form: such pairs take bform(f1, Phi_theta f2) at each new node.
+    running node sum.
+
+    A boosted term has no closed form.  Averaged over theta, Phi_theta f2 is
+    the ring mean of a2 over the azimuth, which the spherical grid samples
+    by a uniform trapezoid: one spherical ladder integrates conj(a1) times
+    the mean of a2 over each shell block's azimuth axis, on the smaller of
+    the fields' support-box corner radii (a rotation keeps |k|).
     """
     scale = checked_haar_scale(haar_scale)
     folded = _affine_pair(f1, f2)
+    if folded is None:
+        if f1.is_zero or f2.is_zero:
+            return AverageResult(0.0 + 0.0j, 0.0, 0.0)
+
+        def ring_mean_integrand(K):
+            return np.conj(f1.amplitude(K)) * np.mean(f2.amplitude(K), axis=-1, keepdims=True)
+
+        r_box = min(bounding_radius(f1.support_box()), bounding_radius(f2.support_box()))
+        form = _ball_bform(ring_mean_integrand, f1, f2, quad, r_box)
+        return AverageResult(scale * form.value, scale * form.error_estimate, 0.0)
+    aff1, aff2 = folded
 
     def node_sum(th) -> complex:
-        if folded is None:
-            return sum(bform(f1, apply_group(RotationElement(t), f2), quad).value for t in th)
-        aff1, aff2 = folded
         R = _rotation_matrix(th)
         RT = np.swapaxes(R, -1, -2)
         acc = 0.0 + 0.0j
@@ -222,7 +234,7 @@ def bhp_reduced_integrand(f1: FieldVector, f2: FieldVector, g: BHPElement,
 
     def integrand(Q):
         w = omega_of(Q, 0.0)
-        Qf = g.forward_momentum_map(Q, 0.0)
+        Qf = g.forward_momentum_map(Q)
         wf = omega_of(Qf, 0.0)
         ratio = np.where(w > 0.0, wf / np.maximum(w, 1e-300), 1.0)
         return (np.sqrt(ratio) * np.conj(f1.amplitude(Qf)) * f2.amplitude(Q)
@@ -232,7 +244,7 @@ def bhp_reduced_integrand(f1: FieldVector, f2: FieldVector, g: BHPElement,
     lo1, hi1 = f1.support_box()
     # pull the f1 box back through the inverse map to bound the support of Q
     grids = np.meshgrid(*[np.linspace(lo1[i], hi1[i], 7) for i in range(3)], indexing="ij")
-    pts = g.inverse_momentum_map(np.stack(grids, axis=-1).reshape(-1, 3), 0.0)
+    pts = g.inverse_momentum_map(np.stack(grids, axis=-1).reshape(-1, 3))
     box1_back = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
     inter = box_intersection(box2, box1_back)
     if inter is None:
@@ -326,8 +338,8 @@ def average_bform_bhp_reduced(f1: FieldVector, f2: FieldVector,
     """
     haar_scale = checked_haar_scale(haar_scale)
     if sequences is None:
-        s1 = project_bhp(f1, quad.n_max, quad)
-        s2 = project_bhp(f2, quad.n_max, quad)
+        s1 = project_bhp(f1, quad)
+        s2 = project_bhp(f2, quad)
     else:
         s1, s2 = sequences
     value = haar_scale * pair_sum(s1, s2)
@@ -364,8 +376,7 @@ def poisson_check(h: Callable[[float], float], n_max: int, u_cutoff: float):
 
 
 def substitution_check(h: Callable[[float], float], support: float,
-                       n: int = 1, ky: float = 0.7,
-                       alpha_cutoff: float = 40.0):
+                       n: int = 1, ky: float = 0.7):
     """Change-of-variables identity behind the boost-parameter integral.
 
     lhs integrates h(l(alpha)) against the absolute Jacobian |dl/dalpha| =
@@ -378,8 +389,7 @@ def substitution_check(h: Callable[[float], float], support: float,
         return ky * np.cosh(a) - w * np.sinh(a)
 
     # |l(alpha)| grows like exp(|alpha|); restrict to where h can contribute
-    a_max = min(alpha_cutoff,
-                np.log(2.0 * (support + abs(ky) + w) / max(w - abs(ky), 1e-12)) + 1.0)
+    a_max = np.log(2.0 * (support + abs(ky) + w) / max(w - abs(ky), 1e-12)) + 1.0
     lhs, _ = _squad(lambda a: np.hypot(n, l_of(a)) * h(l_of(a)), -a_max, a_max,
                     epsabs=1e-13, epsrel=1e-11, limit=400)
     rhs, _ = _squad(h, -support, support, epsabs=1e-13, epsrel=1e-11, limit=400)
@@ -412,7 +422,7 @@ def average_field_bhp(f: FieldVector, tau: float, sigma: float,
             "field has a nonzero amplitude on the k = (0, k_y, 0) line; "
             "its group average diverges in the boost parameter")
     if path == "series":
-        s = sequence if sequence is not None else project_bhp(f, quad.n_max, quad)
+        s = sequence if sequence is not None else project_bhp(f, quad)
         acc = 0.0 + 0.0j
         for n in ordered_ns(s.n_max):
             if n == 0:

@@ -35,13 +35,11 @@ class ScenarioConfig:
     corpus: str
     output: str
     n_max: int = 8
-    alpha_cutoff: float = 40.0
     rel_tol: float = 1e-8
     csv_path: str = ""
 
     def quad(self) -> QuadratureConfig:
-        return QuadratureConfig(rel_tol=self.rel_tol, n_max=self.n_max,
-                                alpha_cutoff=self.alpha_cutoff)
+        return QuadratureConfig(rel_tol=self.rel_tol, n_max=self.n_max)
 
 
 def _check(name, lhs, rhs, tol, oracle, relative=True, floor=0.0):
@@ -109,7 +107,7 @@ def _scenario_axisym(fields, cfg, quad):
 
 def _scenario_bhp_average(fields, cfg, quad):
     checks = []
-    seqs = [reduction.project_bhp(f, quad.n_max, quad) for f in fields]
+    seqs = [reduction.project_bhp(f, quad) for f in fields]
     pairs = [(i, j) for i in range(len(fields)) for j in range(i + 1, len(fields))][:6]
     averages = []
     for i, j in pairs:
@@ -133,8 +131,7 @@ def _scenario_bhp_average(fields, cfg, quad):
                 abs(direct.value - reduced.value) / denom, 1e-5,
                 "transformed-pair quadrature vs reduced single integral"))
     h = lambda x: np.exp(-0.5 * x * x)
-    lhs, rhs = averaging.substitution_check(h, support=12.0, n=1, ky=0.7,
-                                            alpha_cutoff=cfg.alpha_cutoff)
+    lhs, rhs = averaging.substitution_check(h, support=12.0, n=1, ky=0.7)
     checks.append(_check("boost-substitution", lhs, rhs, 1e-8, "1D quadrature both sides"))
     return checks, [], {"averages": averages}
 
@@ -147,7 +144,7 @@ def _scenario_bhp_field(fields, cfg, quad):
     f = fields[0]
     norm = np.sqrt(max(forms.mu(f, f, quad).value, 1e-300))
     f = scale(f, 1.0 / norm)
-    seq = reduction.project_bhp(f, quad.n_max, quad)
+    seq = reduction.project_bhp(f, quad)
     for tau in (0.5, 1.0, 2.0):
         for sigma in (0.0, 1.0, np.pi):
             direct = averaging.average_field_bhp(f, tau, sigma, quad, path="direct")
@@ -185,14 +182,13 @@ def _scenario_nullspace(fields, cfg, quad):
     checks = []
     extras = {}
     sub = fields[:10]
-    mass = sub[0].mass if sub else 0.0
-    if mass == 0.0 and sub:
+    if sub and sub[0].mass == 0.0:
         psi, chi = sub[0], sub[-1]
         h = BHPElement(1, 0.7, -0.9)
         null_vec = add(apply_group(h, psi), scale(psi, -1.0))
-        seqs = [reduction.project_bhp(f, quad.n_max, quad) for f in sub]
+        seqs = [reduction.project_bhp(f, quad) for f in sub]
         s_psi, s_chi = seqs[0], seqs[-1]
-        s_null = reduction.project_bhp(null_vec, quad.n_max, quad)
+        s_null = reduction.project_bhp(null_vec, quad)
         avg = averaging.average_bform_bhp_reduced(chi, null_vec, quad,
                                                   sequences=(s_chi, s_null))
         scale_ref = abs(averaging.average_bform_bhp_reduced(
@@ -311,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="corpus JSON path, or 'bundled' for the 6-packet set")
     run.add_argument("--out", required=True, help="report output path")
     run.add_argument("--n-max", type=int, default=8)
-    run.add_argument("--alpha-cutoff", type=float, default=40.0)
     run.add_argument("--rel-tol", type=float, default=1e-8)
     run.add_argument("--csv", default="", help="optional CSV grid output path")
 
@@ -334,8 +329,7 @@ def main(argv=None) -> int:
             corpus.dump_corpus(doc, args.out)
             return 0
         cfg = ScenarioConfig(scenario=args.scenario, corpus=args.corpus,
-                             output=args.out, n_max=args.n_max,
-                             alpha_cutoff=args.alpha_cutoff, rel_tol=args.rel_tol,
+                             output=args.out, n_max=args.n_max, rel_tol=args.rel_tol,
                              csv_path=args.csv)
         report = run_scenario(cfg)
     except (OSError, ValueError, KeyError, json.JSONDecodeError, CcrReduceError) as exc:

@@ -51,14 +51,25 @@ def dump_corpus(doc: dict, path) -> None:
 
 
 def load_corpus(source) -> list:
-    """Load a corpus document (dict, JSON path, or the bundled 6-packet set)."""
+    """Load a corpus document (dict, JSON path, or the bundled 6-packet set).
+
+    A document of the wrong shape raises ValueError naming the bad field.
+    """
     if isinstance(source, dict):
         doc = source
     elif source == "bundled":
         doc = json.loads(bundled_corpus_text())
     else:
         doc = json.loads(Path(source).read_text())
-    return [field_from_json(fd) for fd in doc["fields"]]
+    if not isinstance(doc, dict) or not isinstance(doc.get("fields"), list):
+        raise ValueError('a corpus must be a JSON object with a "fields" list')
+    fields = []
+    for i, fd in enumerate(doc["fields"]):
+        try:
+            fields.append(field_from_json(fd))
+        except (AttributeError, IndexError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed corpus field {i}: {exc!r}") from exc
+    return fields
 
 
 def bundled_corpus_text() -> str:

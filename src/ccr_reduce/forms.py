@@ -171,13 +171,25 @@ def _tail_radius(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig,
     return hi, tail(hi)
 
 
-def _numeric_bform(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig) -> FormValue:
-    """B(f1, f2) on the spherical grid, for pairs with a boosted term.
+def _ball_bform(integrand, f1: FieldVector, f2: FieldVector, quad: QuadratureConfig,
+                r_box: float) -> FormValue:
+    """Spherical-grid integral of a product of f1 and f2 amplitudes over a ball.
 
-    The ball is the smaller of the corner radius of the support-box
-    intersection and the radius from _tail_radius, outside which the
-    closed-form bound on int |conj(a1) a2| d^3k is at most abs_tol / 100.
+    Boosts exist only for mass 0, and their frequency ratio is smooth in
+    (r, cos theta, phi) though not at k = 0.  The radius is the smaller of
+    r_box, a bound on the support, and the radius from _tail_radius.
     """
+    wmin = max(min(f1.min_width(), f2.min_width()), 1e-3)
+    r_max, _ = _tail_radius(f1, f2, quad, r_box)
+    nr = int(np.clip(3.0 * r_max / wmin, 48, 240))
+    val, err = adaptive_spherical(integrand, r_max, quad,
+                                  base_counts=(nr, 48, 96),
+                                  max_counts=(300, 220, 440))
+    return FormValue(val, err)
+
+
+def _numeric_bform(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig) -> FormValue:
+    """B(f1, f2) by _ball_bform in the corner radius of the support-box intersection."""
     boxes1 = f1.term_boxes()
     boxes2 = f2.term_boxes()
     pieces = [box_intersection(b1, b2) for b1 in boxes1 for b2 in boxes2]
@@ -190,17 +202,7 @@ def _numeric_bform(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig) -> 
     def integrand(K):
         return np.conj(f1.amplitude(K)) * f2.amplitude(K)
 
-    # only boosted terms reach here, and boosts exist only for mass 0: the
-    # boost frequency ratio is bounded but direction-dependent at the
-    # origin; in spherical coordinates it is smooth, so integrate a ball
-    # about the origin on the (r, cos theta, phi) grid
-    wmin = max(min(f1.min_width(), f2.min_width()), 1e-3)
-    r_max, _ = _tail_radius(f1, f2, quad, bounding_radius((lo, hi)))
-    nr = int(np.clip(3.0 * r_max / wmin, 48, 240))
-    val, err = adaptive_spherical(integrand, r_max, quad,
-                                  base_counts=(nr, 48, 96),
-                                  max_counts=(300, 220, 440))
-    return FormValue(val, err)
+    return _ball_bform(integrand, f1, f2, quad, bounding_radius((lo, hi)))
 
 
 def bform(f1: FieldVector, f2: FieldVector,

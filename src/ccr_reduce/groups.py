@@ -10,7 +10,9 @@ amplitudes by
 with theta_g(k) = 2*pi*n*k_x + beta*k_z and L_g the momentum map (a rotation,
 or the hyperbolic rotation of (w, k_y)).  The square-root factor keeps the
 invariant measure d^3k / 2w fixed, which is what makes the symplectic form
-and the vacuum inner product invariant.
+and the vacuum inner product invariant.  No momentum map takes a mass:
+rotations keep |k|, and boosts act on the massless field only, so the
+boost uses w = |k|.
 """
 
 from __future__ import annotations
@@ -59,17 +61,17 @@ class RotationElement:
     def matrix(self) -> np.ndarray:
         return _rotation_matrix(self.angle)
 
-    def inverse_momentum_map(self, K, mass: float):
+    def inverse_momentum_map(self, K):
         return np.asarray(K, float) @ _rotation_matrix(self.angle)  # K @ R == R^T K
 
-    def forward_momentum_map(self, K, mass: float):
+    def forward_momentum_map(self, K):
         return np.asarray(K, float) @ _rotation_matrix(-self.angle)
 
     def affine_parts(self):
         return _rotation_matrix(self.angle), np.zeros(3)
 
-    def is_identity(self, tol: float = 1e-15) -> bool:
-        return self.angle <= tol or TWO_PI - self.angle <= tol
+    def is_identity(self) -> bool:
+        return self.angle <= 1e-15 or TWO_PI - self.angle <= 1e-15
 
     def to_json(self) -> dict:
         return {"kind": "rotation", "angle": float(self.angle)}
@@ -113,12 +115,12 @@ class BHPElement:
         out[..., 1] = K[..., 1] * np.cosh(self.alpha) + sign * w * np.sinh(self.alpha)
         return out
 
-    def inverse_momentum_map(self, K, mass: float):
+    def inverse_momentum_map(self, K):
         if self.alpha == 0.0:
             return np.asarray(K, float)
         return self._boost(K, +1.0)
 
-    def forward_momentum_map(self, K, mass: float):
+    def forward_momentum_map(self, K):
         if self.alpha == 0.0:
             return np.asarray(K, float)
         return self._boost(K, -1.0)
@@ -128,8 +130,8 @@ class BHPElement:
             return None
         return np.eye(3), self.phase_vector()
 
-    def is_identity(self, tol: float = 1e-15) -> bool:
-        return self.n == 0 and abs(self.alpha) <= tol and abs(self.beta) <= tol
+    def is_identity(self) -> bool:
+        return self.n == 0 and abs(self.alpha) <= 1e-15 and abs(self.beta) <= 1e-15
 
     def to_json(self) -> dict:
         return {"kind": "bhp", "n": self.n, "alpha": self.alpha, "beta": self.beta}
@@ -174,9 +176,7 @@ def apply_group(g: GroupElement, f: FieldVector) -> FieldVector:
     Boosts require the massless theory (FieldVector rejects a boosted term
     on a massive field); other actions work for any mass.
     """
-    if isinstance(g, RotationElement) and g.is_identity():
-        return f
-    if isinstance(g, BHPElement) and g.is_identity():
+    if g.is_identity():
         return f
 
     new_terms = []

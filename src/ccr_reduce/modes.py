@@ -20,8 +20,7 @@ Array = np.ndarray
 
 
 def _vec3(x) -> Array:
-    v = np.asarray(x, dtype=float).reshape(3)
-    return v.copy()
+    return np.asarray(x, dtype=float).reshape(3).copy()
 
 
 def omega_of(K: Array, mass: float) -> Array:
@@ -55,7 +54,7 @@ class GaussianPacket:
         if np.any(self.width <= 0):
             raise ValueError("packet widths must be strictly positive")
 
-    def amplitude(self, K: Array, mass: float = 0.0) -> Array:
+    def amplitude(self, K: Array) -> Array:
         d = (K - self.center) / self.width
         dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
         return self.coeff * np.exp(-0.5 * (dx * dx + dy * dy + dz * dz))
@@ -69,8 +68,9 @@ class GaussianPacket:
         dz = (kz - self.center[2]) / self.width[2]
         return self.coeff * np.exp(-0.5 * np.sum(d * d, axis=-1)), np.exp(-0.5 * dz * dz)
 
-    def box(self, mass: float = 0.0, nsig: float = 10.0):
-        return self.center - nsig * self.width, self.center + nsig * self.width
+    def box(self):
+        """Ten widths either side of the center: the amplitude is below e^-50 outside."""
+        return self.center - 10.0 * self.width, self.center + 10.0 * self.width
 
     def scaled(self, c: complex) -> "GaussianPacket":
         return GaussianPacket(self.center, self.width, self.coeff * c)
@@ -98,7 +98,7 @@ class TransformedPacket:
         if not self.chain:
             raise ValueError("TransformedPacket requires a nonempty action chain")
 
-    def amplitude(self, K: Array, mass: float = 0.0) -> Array:
+    def amplitude(self, K: Array) -> Array:
         K_cur = np.asarray(K, dtype=float)
         phase = np.zeros(K_cur.shape[:-1])
         factor = None
@@ -106,10 +106,10 @@ class TransformedPacket:
             pv = g.phase_vector()
             if pv is not None and np.any(pv):
                 phase = phase + K_cur @ pv
-            K_next = g.inverse_momentum_map(K_cur, mass)
-            if g.involves_boost:
-                w_prev = omega_of(K_cur, mass)
-                w_next = omega_of(K_next, mass)
+            K_next = g.inverse_momentum_map(K_cur)
+            if g.involves_boost:  # boosts act on the massless field only
+                w_prev = omega_of(K_cur, 0.0)
+                w_next = omega_of(K_next, 0.0)
                 ratio = np.where(w_prev > 0.0, w_next / np.maximum(w_prev, 1e-300), 1.0)
                 factor = np.sqrt(ratio) if factor is None else factor * np.sqrt(ratio)
             K_cur = K_next
@@ -136,17 +136,17 @@ class TransformedPacket:
             if pv is not None:
                 phase = phase + K_cur @ pv
                 beta += pv[2]
-            K_cur = g.inverse_momentum_map(K_cur, 0.0)
+            K_cur = g.inverse_momentum_map(K_cur)
         x, z = self.base.z_factors(K_cur[..., :2], kz)
         return x * np.exp(1j * phase), z * np.exp(1j * beta * np.asarray(kz))
 
-    def box(self, mass: float = 0.0, nsig: float = 10.0):
-        lo, hi = self.base.box(mass, nsig)
+    def box(self):
+        lo, hi = self.base.box()
         grids = np.meshgrid(*[np.linspace(lo[i], hi[i], 7) for i in range(3)], indexing="ij")
         pts = np.stack(grids, axis=-1).reshape(-1, 3)
         # support of the transformed amplitude is the forward image of the base box
         for g in reversed(self.chain):
-            pts = g.forward_momentum_map(pts, mass)
+            pts = g.forward_momentum_map(pts)
         lo_m, hi_m = pts.min(axis=0), pts.max(axis=0)
         pad = 0.12 * (hi_m - lo_m) + 0.3
         return lo_m - pad, hi_m + pad
@@ -178,7 +178,7 @@ class FieldVector:
         K = np.asarray(K, dtype=float)
         out = np.zeros(K.shape[:-1], dtype=complex)
         for t in self.terms:
-            out = out + t.amplitude(K, self.mass)
+            out = out + t.amplitude(K)
         return out
 
     @property
@@ -189,20 +189,14 @@ class FieldVector:
     def has_boost(self) -> bool:
         return any(t.has_boost for t in self.terms)
 
-    def coeff_scale(self) -> float:
-        return sum(abs(t.base.coeff if isinstance(t, TransformedPacket) else t.coeff)
-                   for t in self.terms)
-
-    def support_box(self, nsig: float = 10.0):
+    def support_box(self):
         if not self.terms:
             return np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0])
-        boxes = [t.box(self.mass, nsig) for t in self.terms]
-        lo = np.min([b[0] for b in boxes], axis=0)
-        hi = np.max([b[1] for b in boxes], axis=0)
-        return lo, hi
+        boxes = self.term_boxes()
+        return np.min([b[0] for b in boxes], axis=0), np.max([b[1] for b in boxes], axis=0)
 
-    def term_boxes(self, nsig: float = 10.0):
-        return [t.box(self.mass, nsig) for t in self.terms]
+    def term_boxes(self):
+        return [t.box() for t in self.terms]
 
     def term_centers(self) -> np.ndarray:
         """Packet centers mapped through their action chains, shape (n, 3)."""
@@ -211,7 +205,7 @@ class FieldVector:
             if isinstance(t, TransformedPacket):
                 c = t.base.center.reshape(1, 3)
                 for g in reversed(t.chain):
-                    c = g.forward_momentum_map(c, self.mass)
+                    c = g.forward_momentum_map(c)
                 out.append(c[0])
             else:
                 out.append(t.center)
@@ -239,20 +233,23 @@ class FieldVector:
                 best = min(best, float(np.min(t.width)))
         return best if np.isfinite(best) else 1.0
 
-    def is_zero_mode_free(self, tol: float = 1e-10) -> bool:
+    def is_zero_mode_free(self) -> bool:
         """True when the amplitude vanishes on the line k = (0, k_y, 0).
+
+        Vanishing means at most 1e-10 times the summed term coefficients.
 
         Fields with this property form the subspace on which the group
         average of the field itself converges; the n = 0 projection of
         anything else diverges logarithmically in the boost cutoff.
         """
-        scale = self.coeff_scale()
+        scale = sum(abs(t.base.coeff if isinstance(t, TransformedPacket) else t.coeff)
+                    for t in self.terms)
         if scale == 0.0:
             return True
         lo, hi = self.support_box()
         ky = np.linspace(lo[1] - 1.0, hi[1] + 1.0, 257)
         K = np.stack([np.zeros_like(ky), ky, np.zeros_like(ky)], axis=-1)
-        return float(np.max(np.abs(self.amplitude(K)))) <= tol * scale
+        return float(np.max(np.abs(self.amplitude(K)))) <= 1e-10 * scale
 
 
 def add(f1: FieldVector, f2: FieldVector) -> FieldVector:

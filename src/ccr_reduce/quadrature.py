@@ -25,13 +25,11 @@ Array = np.ndarray
 class QuadratureConfig:
     """Shared numerical budget for all integral evaluations.
 
-    alpha_cutoff truncates boost-parameter integrals; n_max truncates the
-    discrete sums of the non-compact reduction.
+    n_max truncates the discrete sums of the non-compact reduction.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    alpha_cutoff: float = 40.0
     n_max: int = 16
 
     def __post_init__(self):
@@ -39,8 +37,6 @@ class QuadratureConfig:
             raise ValueError("tolerances must be finite and positive")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if not 0 < self.alpha_cutoff < np.inf:
-            raise ValueError("alpha_cutoff must be finite and positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -87,8 +83,7 @@ def _count_ladder(base_counts, caps, growth: float, floor: int):
 
 @lru_cache(maxsize=128)
 def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(int(n))
-    return x, w
+    return np.polynomial.legendre.leggauss(int(n))
 
 
 def gl_nodes(n: int, a: float, b: float):
@@ -98,28 +93,24 @@ def gl_nodes(n: int, a: float, b: float):
     return half * x + 0.5 * (a + b), half * w
 
 
-def _tensor3_eval(fn: Callable[[Array], Array], axes, chunk: int = 48) -> complex:
-    (kx, wx), (ky, wy), (kz, wz) = axes
+def tensor3_integral(fn: Callable[[Array], Array], box, counts) -> complex:
+    """Tensor Gauss-Legendre integral of fn over an axis-aligned box.
+
+    fn takes an array of shape (..., 3) and returns complex values of
+    shape (...); it is called on blocks of 48 first-axis nodes, which keeps
+    temporaries bounded.
+    """
+    lo, hi = box
+    (kx, wx), (ky, wy), (kz, wz) = [gl_nodes(int(counts[i]), float(lo[i]), float(hi[i]))
+                                    for i in range(3)]
     total = 0.0 + 0.0j
-    # chunk along the first axis to keep temporaries bounded
-    for i0 in range(0, len(kx), chunk):
-        sl = slice(i0, i0 + chunk)
+    for i0 in range(0, len(kx), 48):
+        sl = slice(i0, i0 + 48)
         KX, KY, KZ = np.meshgrid(kx[sl], ky, kz, indexing="ij")
         K = np.stack([KX, KY, KZ], axis=-1)
         W = wx[sl][:, None, None] * wy[None, :, None] * wz[None, None, :]
         total += complex(np.sum(W * fn(K)))
     return total
-
-
-def tensor3_integral(fn: Callable[[Array], Array], box, counts) -> complex:
-    """Tensor Gauss-Legendre integral of fn over an axis-aligned box.
-
-    fn takes an array of shape (..., 3) and returns complex values of
-    shape (...).
-    """
-    lo, hi = box
-    axes = [gl_nodes(int(counts[i]), float(lo[i]), float(hi[i])) for i in range(3)]
-    return _tensor3_eval(fn, axes)
 
 
 def adaptive_tensor3(
@@ -191,7 +182,7 @@ def adaptive_spherical(
                    "spherical quadrature did not converge below its node caps")
 
 
-def oscillatory_grid(a: float, b: float, max_freq: float, nodes_per_panel: int = 16):
+def oscillatory_grid(a: float, b: float, max_freq: float):
     """Composite GL grid resolving exp(i * freq * x) up to max_freq.
 
     Panels are one oscillation period long, so a 16-node rule is exact to
@@ -201,11 +192,11 @@ def oscillatory_grid(a: float, b: float, max_freq: float, nodes_per_panel: int =
     period = 2.0 * np.pi / max(max_freq, 1e-12)
     n_panels = max(8, int(np.ceil((b - a) / period)))
     edges = np.linspace(a, b, n_panels + 1)
-    x0, w0 = _leggauss(nodes_per_panel)
+    x0, w0 = _leggauss(16)
     half = 0.5 * (edges[1] - edges[0])
     centers = 0.5 * (edges[:-1] + edges[1:])
     nodes = (centers[:, None] + half * x0[None, :]).ravel()
-    weights = np.broadcast_to(half * w0, (n_panels, nodes_per_panel)).ravel()
+    weights = np.broadcast_to(half * w0, (n_panels, 16)).ravel()
     return nodes, weights
 
 

@@ -129,23 +129,22 @@ class AxisymmetricAmplitude:
         return float(lo[2]), float(hi[2])
 
 
-def project_axisymmetric(f: FieldVector, n_angle: Optional[int] = None) -> AxisymmetricAmplitude:
+def project_axisymmetric(f: FieldVector) -> AxisymmetricAmplitude:
     """Project onto the rotation-invariant sector.
 
     The angular node count is chosen from the sharpest angular feature a
-    packet can present (width over distance from the axis) unless given.
-    A boosted term is rejected with ValueError: its k_z dependence enters
-    through |k|, so it does not factorise into an xy part and a k_z part.
+    packet can present (width over distance from the axis).  A boosted
+    term is rejected with ValueError: its k_z dependence enters through
+    |k|, so it does not factorise into an xy part and a k_z part.
     """
     if f.has_boost:
         raise ValueError("the axisymmetric projection needs boost-free terms")
-    if n_angle is None:
-        centers = f.term_centers()
-        r_c = float(np.max(np.hypot(centers[:, 0], centers[:, 1]))) if len(centers) else 0.0
-        wmin = max(f.min_width(), 1e-3)
-        # a packet at xy-distance r subtends an angle ~ width / (r + 2 width)
-        n_angle = int(np.clip(16.0 * (r_c + 2.0 * f.max_width()) / wmin, 64, 512))
-    return AxisymmetricAmplitude(f, int(n_angle))
+    centers = f.term_centers()
+    r_c = float(np.max(np.hypot(centers[:, 0], centers[:, 1]))) if len(centers) else 0.0
+    wmin = max(f.min_width(), 1e-3)
+    # a packet at xy-distance r subtends an angle ~ width / (r + 2 width)
+    n_angle = int(np.clip(16.0 * (r_c + 2.0 * f.max_width()) / wmin, 64, 512))
+    return AxisymmetricAmplitude(f, n_angle)
 
 
 def axisym_domain(amps: Sequence[AxisymmetricAmplitude]):
@@ -192,9 +191,8 @@ def reduced_forms_axisym(A1: AxisymmetricAmplitude, A2: AxisymmetricAmplitude,
 
 # --- non-compact (BHP) reduction ---------------------------------------------
 
-def project_bhp(f: FieldVector, n_max: Optional[int] = None,
-                quad: QuadratureConfig = DEFAULT_CONFIG) -> ReducedSequence:
-    """Sequence A_n = (sqrt(2 pi)/i) * int dk (n^2+k^2)^(-1/4) a(n, k, 0).
+def project_bhp(f: FieldVector, quad: QuadratureConfig = DEFAULT_CONFIG) -> ReducedSequence:
+    """Sequence A_n = (sqrt(2 pi)/i) * int dk (n^2+k^2)^(-1/4) a(n, k, 0), |n| <= quad.n_max.
 
     One adaptive integral over u, with k = u|u|, yields every A_n at once:
     the substitution removes the |k|^(-1/2) endpoint of the n = 0 integrand
@@ -204,9 +202,7 @@ def project_bhp(f: FieldVector, n_max: Optional[int] = None,
     """
     if f.mass != 0.0:
         raise ValueError("the discrete reduction applies to the massless theory")
-    if n_max is None:
-        n_max = quad.n_max
-    ns = np.array(ordered_ns(n_max), dtype=float)
+    ns = np.array(ordered_ns(quad.n_max), dtype=float)
     lo, hi = f.support_box()
     u_hi = np.sqrt(max(abs(float(lo[1]) - 0.5), abs(float(hi[1]) + 0.5)))
 
@@ -228,13 +224,11 @@ def project_bhp(f: FieldVector, n_max: Optional[int] = None,
 def null_space_analysis(fields: Sequence[FieldVector], group: str,
                         quad: QuadratureConfig = DEFAULT_CONFIG,
                         haar_scale: float = 1.0,
-                        rank_tol: float = 1e-8,
-                        inclusion_tol: float = 1e-6,
                         sequences: Optional[Sequence[ReducedSequence]] = None) -> dict:
     """Gram-matrix rank analysis of the averaged forms on a span of fields.
 
     Builds the Gram matrices of mu_G and Omega_G, ranks mu_G by eigenvalue
-    threshold rank_tol relative to a scale, and verifies that every
+    threshold 1e-8 relative to a scale, and verifies that every
     numerical null direction of mu_G is annihilated by Omega_G.  The scale
     is the larger of the largest eigenvalue and the un-averaged scale
     haar_scale * max_i mu(f_i, f_i), which bounds every circle-averaged
@@ -243,7 +237,7 @@ def null_space_analysis(fields: Sequence[FieldVector], group: str,
     roundoff.  A direction that is only numerically null (eigenvalue
     lambda_j below the threshold but nonzero) cannot be more Omega-null
     than the quasi-free bound allows, so each residual, relative to the
-    scale, is tested against max(inclusion_tol, 4 sqrt(lambda_j / scale));
+    scale, is tested against max(1e-6, 4 sqrt(lambda_j / scale));
     a genuine inclusion failure would show an Omega residual of order one
     instead.  For group "bhp", `sequences` may pass the fields' projections
     (one per field, from project_bhp) so that they are not recomputed.
@@ -265,7 +259,7 @@ def null_space_analysis(fields: Sequence[FieldVector], group: str,
                     B[j, i] = np.conj(B[i, j])
     elif group == "bhp":
         if sequences is None:
-            sequences = [project_bhp(f, quad.n_max, quad) for f in fields]
+            sequences = [project_bhp(f, quad) for f in fields]
         for i in range(m):
             for j in range(m):
                 B[i, j] = haar_scale * pair_sum(sequences[i], sequences[j])
@@ -277,7 +271,7 @@ def null_space_analysis(fields: Sequence[FieldVector], group: str,
     evals, evecs = np.linalg.eigh(gram_mu)
     unaveraged = haar_scale * max(mu(f, f, quad).value for f in fields)
     scale = max(float(np.max(np.abs(evals))), unaveraged) + 1e-300
-    thresh = rank_tol * scale
+    thresh = 1e-8 * scale
     keep = evals > thresh
     rank = int(np.sum(keep))
     null_evals = evals[~keep]
@@ -285,7 +279,7 @@ def null_space_analysis(fields: Sequence[FieldVector], group: str,
     om_on_null = [float(np.max(np.abs(gram_om @ null_vecs[:, j]))) / scale
                   for j in range(null_vecs.shape[1])]
     inclusion = all(
-        r <= max(inclusion_tol, 4.0 * np.sqrt(max(lam, 0.0) / scale))
+        r <= max(1e-6, 4.0 * np.sqrt(max(lam, 0.0) / scale))
         for r, lam in zip(om_on_null, null_evals))
     dropped = np.sort(np.abs(evals[~keep]))[::-1]
     kept = np.sort(evals[keep])

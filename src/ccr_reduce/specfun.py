@@ -120,17 +120,17 @@ def hankel2_0(x: float) -> complex:
     return complex(_hankel2_asymptotic(x)[0])
 
 
-def cosh_phase_integral(x: float, s_cutoff: float = 12.0, node_factor: float = 1.0):
+def cosh_phase_integral(x: float, node_factor: float = 1.0):
     """integral exp(-i x cosh s) ds over the real line, x > 0.
 
     The integrand does not decay on the real axis; beyond +-s0 the path turns
     by -pi/4 into the lower half plane, where Im cosh < 0 gives rapid decay.
     The turn happens where the phase x*cosh(s) reaches a fixed budget, so
-    small x push s0 outward (at most to s_cutoff); the central node count
+    small x push s0 outward (at most to 12); the central node count
     resolves the phase up to the turn and is scaled by node_factor.
     Returns (value, truncation_estimate).
     """
-    s0 = min(max(2.5, float(np.log(90.0 / x))), s_cutoff)
+    s0 = min(max(2.5, float(np.log(90.0 / x))), 12.0)
     n_center = int(min(max(96, 8 * x * np.cosh(s0) / np.pi + 16), 6000))
     s, w = gl_nodes(max(64, int(n_center * node_factor)), -s0, s0)
     central = np.sum(w * np.exp(-1j * x * np.cosh(s)))
@@ -142,7 +142,7 @@ def cosh_phase_integral(x: float, s_cutoff: float = 12.0, node_factor: float = 1
     return central + 2.0 * tail, end_mag
 
 
-def hankel2_0_integral(x: float, s_cutoff: float = 12.0) -> SpecialFunctionResult:
+def hankel2_0_integral(x: float) -> SpecialFunctionResult:
     """H0_2(x) from its integral representation with oscillation-aware tails.
 
     The error estimate compares the rule with one on 0.7 times the central
@@ -155,8 +155,8 @@ def hankel2_0_integral(x: float, s_cutoff: float = 12.0) -> SpecialFunctionResul
     flags = ()
     if x < 0.1:
         flags = ("slow-convergence",)
-    fine, trunc = cosh_phase_integral(x, s_cutoff)
-    coarse, _ = cosh_phase_integral(x, s_cutoff, 0.7)
+    fine, trunc = cosh_phase_integral(x)
+    coarse, _ = cosh_phase_integral(x, 0.7)
     value = -(1.0 / (np.pi * 1j)) * fine
     err = abs(fine - coarse) / np.pi + trunc / np.pi
     return SpecialFunctionResult(complex(value), "integral", float(err), flags)

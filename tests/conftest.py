@@ -4,7 +4,7 @@ import pytest
 from ccr_reduce import FieldVector, GaussianPacket, QuadratureConfig
 
 
-def random_packet(rng, mass=0.0, center_range=2.5, width_range=(0.5, 1.2)):
+def random_packet(rng, center_range=2.5, width_range=(0.5, 1.2)):
     center = rng.uniform(-center_range, center_range, size=3)
     width = rng.uniform(*width_range, size=3)
     coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -12,7 +12,7 @@ def random_packet(rng, mass=0.0, center_range=2.5, width_range=(0.5, 1.2)):
 
 
 def random_field(rng, mass=0.0, n_terms=1, **kw):
-    return FieldVector(mass, tuple(random_packet(rng, mass, **kw) for _ in range(n_terms)))
+    return FieldVector(mass, tuple(random_packet(rng, **kw) for _ in range(n_terms)))
 
 
 def s0_field(center, width, coeff):

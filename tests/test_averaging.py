@@ -58,8 +58,6 @@ class TestQuadratureConfig:
                 QuadratureConfig(rel_tol=bad)
         with pytest.raises(ValueError):
             QuadratureConfig(n_max=0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(alpha_cutoff=0.0)
 
 
 class TestRefinementLadders:
@@ -235,7 +233,7 @@ class TestTailRadius:
     @settings(max_examples=6, deadline=None, derandomize=True)
     def test_reduced_integrand_tail(self, f1, f2, g):
         def integrand_abs(Q):
-            Qf = g.forward_momentum_map(Q, 0.0)
+            Qf = g.forward_momentum_map(Q)
             ratio = omega_of(Qf, 0.0) / omega_of(Q, 0.0)
             return np.sqrt(ratio) * np.abs(f1.amplitude(Qf)) * np.abs(f2.amplitude(Q))
 
@@ -314,6 +312,30 @@ def circle_pairs(draw):
     return FieldVector(mass, tuple(draw(terms))), FieldVector(mass, tuple(draw(terms)))
 
 
+@st.composite
+def boosted_circle_cases(draw):
+    """A boost-free field, a y-boosted one, and a generic rotation angle.
+
+    An angle that is a multiple of 2 pi / nphi would map the spherical grid
+    onto itself; a generic one lies off the azimuth grids and tests the
+    invariance of the ring mean itself.
+    """
+    terms = st.lists(circle_terms(), min_size=1, max_size=2)
+    f1 = FieldVector(0.0, tuple(draw(terms)))
+    alpha = draw(st.floats(0.2, 0.6)) * draw(st.sampled_from([-1.0, 1.0]))
+    g = BHPElement(0, alpha, draw(st.floats(-1.0, 1.0)))
+    f2 = apply_group(g, FieldVector(0.0, tuple(draw(terms))))
+    return f1, f2, draw(st.floats(0.1, 2.0 * np.pi - 0.1))
+
+
+# packets on opposite sides of the z axis: their support boxes are disjoint
+# until a rotation by about pi brings them together
+OPPOSITE_BOOSTED = (
+    FieldVector(0.0, (GaussianPacket([3.2, 0.0, 0.2], [0.25, 0.25, 0.5], 1.0),)),
+    apply_group(BHPElement(0, 0.3, 0.0),
+                FieldVector(0.0, (GaussianPacket([-3.2, 0.0, 0.0], [0.25, 0.25, 0.5], 0.5j),))),
+    2.9)
+
 # off the z axis and narrow in x: B(f, Phi_theta f) is sharply peaked in theta
 NARROW = FieldVector(0.0, (GaussianPacket([2.0, 0.5, 0.3], [0.15, 0.4, 0.5], 1.0 - 0.5j),))
 NARROW_PAIR = (NARROW, apply_group(RotationElement(0.4), NARROW))
@@ -345,6 +367,27 @@ class TestCircleAverage:
         avg = average_bform_circle(f1, f2, quad)
         direct = bform(f1, f2, quad).value
         assert abs(avg.value - direct) <= 1e-8 * abs(direct)
+
+    def test_boosted_route_matches_per_node_mean(self, rng, quad):
+        # an off-axis f1 is not rotation invariant; for this pair the mean of
+        # bform(f1, Phi_theta f2) over 16 nodes has converged to about 1e-14
+        f1 = FieldVector(0.0, (GaussianPacket([1.1, -0.4, 0.6], [0.8, 0.7, 1.0], 0.7 + 0.4j),))
+        f2 = apply_group(BHPElement(0, 0.4, 0.3), random_field(rng))
+        avg = average_bform_circle(f1, f2, quad).value
+        ref = circle_node_mean(f1, f2, quad, 16)
+        assert abs(avg - ref) <= 1e-10 * abs(ref)
+
+    @given(case=boosted_circle_cases())
+    @example(case=OPPOSITE_BOOSTED)
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_boosted_rotation_invariance(self, case):
+        f1, f2, theta = case
+        quad = QuadratureConfig()
+        rot = RotationElement(theta)
+        base = average_bform_circle(f1, f2, quad).value
+        tol = max(quad.abs_tol, quad.rel_tol * abs(base))
+        assert abs(average_bform_circle(f1, apply_group(rot, f2), quad).value - base) <= tol
+        assert abs(average_bform_circle(apply_group(rot, f1), f2, quad).value - base) <= tol
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_mass_mismatch_and_zero_field(self, rng, quad, alpha):
@@ -463,8 +506,8 @@ class TestBhpReducedLevels:
 
     def test_haar_rescaling_and_sequence_map(self, rng, quad_bhp):
         f1, f2 = random_s0_field(rng), random_s0_field(rng)
-        s1 = project_bhp(f1, quad_bhp.n_max, quad_bhp)
-        s2 = project_bhp(f2, quad_bhp.n_max, quad_bhp)
+        s1 = project_bhp(f1, quad_bhp)
+        s2 = project_bhp(f2, quad_bhp)
         base = average_bform_bhp_reduced(f1, f2, quad_bhp, sequences=(s1, s2)).value
         for c in (0.5, 2.0, 10.0):
             scaled = average_bform_bhp_reduced(f1, f2, quad_bhp, haar_scale=c,
@@ -512,7 +555,7 @@ class TestPoisson:
 class TestFieldAverage:
     def test_paths_agree(self, rng, quad_bhp):
         f = random_s0_field(rng)
-        seq = project_bhp(f, quad_bhp.n_max, quad_bhp)
+        seq = project_bhp(f, quad_bhp)
         for tau, sigma in ((1.0, 0.4), (0.5, 2.0), (2.0, 1.0)):
             direct = average_field_bhp(f, tau, sigma, quad_bhp, path="direct")
             series = average_field_bhp(f, tau, sigma, quad_bhp, path="series",
@@ -521,14 +564,14 @@ class TestFieldAverage:
 
     def test_periodicity(self, rng, quad_bhp):
         f = random_s0_field(rng)
-        seq = project_bhp(f, quad_bhp.n_max, quad_bhp)
+        seq = project_bhp(f, quad_bhp)
         v0 = average_field_bhp(f, 1.2, 0.9, quad_bhp, sequence=seq)
         v1 = average_field_bhp(f, 1.2, 0.9 + 2 * np.pi, quad_bhp, sequence=seq)
         assert v1 == pytest.approx(v0, rel=1e-12, abs=1e-14)
 
     def test_reduced_wave_equation_residual(self, rng, quad_bhp):
         f = random_s0_field(rng)
-        seq = project_bhp(f, quad_bhp.n_max, quad_bhp)
+        seq = project_bhp(f, quad_bhp)
         h, tau, sigma = 0.05, 1.1, 0.8
 
         def psi(dt=0.0, ds=0.0):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from ccr_reduce import project_axisymmetric, project_bhp, reduction
+from ccr_reduce import QuadratureConfig, project_axisymmetric, project_bhp, reduction
 from ccr_reduce.cli import ScenarioConfig, main, run_scenario
 from ccr_reduce.corpus import dump_corpus, generate_corpus, load_corpus
 
@@ -39,10 +39,10 @@ class TestCorpusGeneration:
                 assert all(-3.0 <= c <= 3.0 for c in term["center"])
                 assert all(0.3 <= w <= 1.5 for w in term["width"])
 
-    def test_s0_corpus_projects_to_zero_mode_free(self, quad_bhp):
+    def test_s0_corpus_projects_to_zero_mode_free(self):
         fields = load_corpus(generate_corpus(9, 3, s0=True))
         for f in fields:
-            s = project_bhp(f, 2, quad_bhp)
+            s = project_bhp(f, QuadratureConfig(n_max=2))
             assert abs(s.entries[0]) < 1e-10
             assert s.zero_mode_defined
 
@@ -157,6 +157,11 @@ class TestCliProcess:
         assert report["results"]["bhp_gram"]["rank"] == 6
 
 
+GOOD_TERM = {"center": [0.5, -0.4, 0.3], "width": [0.8, 0.9, 1.0], "coeff": [0.6, -0.2],
+             "actions": []}
+GOOD_FIELD = {"mass": 0.0, "terms": [GOOD_TERM]}
+
+
 class TestInvalidFieldInput:
     @staticmethod
     def run_bounds(tmp_path, mass=0.0, width=(0.8, 0.9, 1.0), coeff=(0.6, -0.2),
@@ -180,6 +185,24 @@ class TestInvalidFieldInput:
     def test_boost_on_massive_field_exits_2(self, tmp_path):
         boost = {"kind": "bhp", "n": 0, "alpha": 0.5, "beta": 0.0}
         assert self.run_bounds(tmp_path, mass=1.0, actions=[boost]) == 2
+
+    @pytest.mark.parametrize("doc, where", [
+        ({"fields": None}, '"fields" list'),
+        ([{"mass": 0.0, "terms": []}], '"fields" list'),
+        ({"fields": [GOOD_FIELD, {"mass": 0.0, "terms": 5}]}, "field 1"),
+        ({"fields": [GOOD_FIELD, {"mass": 0.0, "terms": [dict(GOOD_TERM, coeff=1.0)]}]},
+         "field 1"),
+        ({"fields": [GOOD_FIELD, {"mass": 0.0, "terms": [dict(GOOD_TERM, actions=[
+            {"kind": "bhp", "n": 0, "alpha": None, "beta": 0.0}])]}]}, "field 1"),
+    ], ids=["fields-null", "top-level-list", "terms-int", "coeff-float", "alpha-null"])
+    def test_malformed_structure_exits_2(self, tmp_path, capsys, doc, where):
+        corpus = tmp_path / "c.json"
+        corpus.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", "bounds", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert where in capsys.readouterr().err
+        with pytest.raises(ValueError, match=where):
+            load_corpus(str(corpus))
 
     def test_axisym_with_boosted_term_exits_2(self, tmp_path, capsys):
         # a boosted term does not factorise in k_z, so it cannot be projected

@@ -32,7 +32,8 @@ class TestComposition:
 
     def test_inverse_gives_identity(self):
         g = RotationElement(1.234)
-        assert compose(g, inverse(g)).is_identity(tol=1e-12)
+        angle = compose(g, inverse(g)).angle  # 0 or 2 pi up to rounding
+        assert min(angle, TWO_PI - angle) <= 1e-12
         h = BHPElement(3, -0.7, 2.1)
         assert compose(h, inverse(h)).is_identity()
 
@@ -110,7 +111,7 @@ class TestBHPAction:
         g = BHPElement(0, 0.8, 0.0)
         K = np.array([[0.5, -0.4, 1.2]])
         w = float(np.linalg.norm(K[0]))
-        fwd = g.forward_momentum_map(K, 0.0)[0]
+        fwd = g.forward_momentum_map(K)[0]
         assert fwd[1] == pytest.approx(K[0, 1] * np.cosh(0.8) - w * np.sinh(0.8), rel=1e-14)
         w_fwd = float(np.linalg.norm(fwd))
         assert w_fwd == pytest.approx(w * np.cosh(0.8) - K[0, 1] * np.sinh(0.8), rel=1e-13)

@@ -119,15 +119,15 @@ class TestReducedFormsAxisym:
 
 
 class TestProjectBhp:
-    def test_zero_field(self, quad_bhp):
-        s = project_bhp(FieldVector(0.0, ()), 4, quad_bhp)
+    def test_zero_field(self):
+        s = project_bhp(FieldVector(0.0, ()), QuadratureConfig(n_max=4))
         assert all(v == 0 for v in s.entries.values())
 
-    def test_a0_magnitude_vs_substitution_oracle(self, quad_bhp):
+    def test_a0_magnitude_vs_substitution_oracle(self):
         # a(k) = exp(-|k|^2/2): |A_0| = sqrt(2 pi) * int |k|^(-1/2) e^(-k^2/2) dk;
         # oracle uses u = sqrt(k) on the half line, doubled by evenness
         f = FieldVector(0.0, (GaussianPacket([0, 0, 0], [1, 1, 1], 1.0),))
-        s = project_bhp(f, 2, quad_bhp)
+        s = project_bhp(f, QuadratureConfig(n_max=2))
         n_pts, u_hi = 200_000, 3.2
         du = u_hi / n_pts
         u = (np.arange(n_pts) + 0.5) * du                 # midpoint rule
@@ -135,23 +135,24 @@ class TestProjectBhp:
         oracle = np.sqrt(2 * np.pi) * 2.0 * half
         assert abs(s.entries[0]) == pytest.approx(oracle, rel=1e-8)
 
-    def test_narrow_packet_tail(self, quad_bhp):
+    def test_narrow_packet_tail(self):
         # width 0.2 centered at k_x = 1: slices |n| >= 3 are Gaussian-small
         f = FieldVector(0.0, (GaussianPacket([1.0, 0.3, -0.2], [0.2, 0.8, 0.9], 1.0),))
-        s = project_bhp(f, 4, quad_bhp)
+        s = project_bhp(f, QuadratureConfig(n_max=4))
         for n in (3, -3, 4, -4):
             assert abs(s.entries[n]) < 1e-10
 
-    def test_zero_mode_flag(self, rng, quad_bhp):
-        assert project_bhp(random_s0_field(rng), 3, quad_bhp).zero_mode_defined
-        assert not project_bhp(random_field(rng, mass=0.0), 3, quad_bhp).zero_mode_defined
+    def test_zero_mode_flag(self, rng):
+        quad = QuadratureConfig(n_max=3)
+        assert project_bhp(random_s0_field(rng), quad).zero_mode_defined
+        assert not project_bhp(random_field(rng, mass=0.0), quad).zero_mode_defined
 
     def test_off_axis_modes_vs_mpmath(self):
         # A_n = (sqrt(2 pi)/i) int (n^2+k^2)^(-1/4) a(n, k, 0) dk, n != 0,
         # integrated in k by mpmath at 30 digits from the closed-form packet
         c, w, coeff = (1.2, 0.4, -0.3), (0.8, 0.7, 0.9), 0.6 - 0.3j
         f = FieldVector(0.0, (GaussianPacket(c, w, coeff),))
-        s = project_bhp(f, 2, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15))
+        s = project_bhp(f, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, n_max=2))
         with mpmath.workdps(30):
             for n in (-2, -1, 1, 2):
                 def a_slice(k):
@@ -168,22 +169,22 @@ class TestProjectBhp:
         # precision: the projection must say so instead of returning
         f = random_s0_field(rng)
         with pytest.raises(QuadratureError):
-            project_bhp(f, 8, QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300))
+            project_bhp(f, QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300, n_max=8))
 
     @given(n=st.integers(-3, 3), alpha=st.floats(-1.0, 1.0), beta=st.floats(-2.0, 2.0))
     @settings(max_examples=25, deadline=None)
     def test_boost_invariance_of_sequence(self, n, alpha, beta):
         # A_n is exactly invariant under the group; quadrature sees it too
         f = random_s0_field(np.random.default_rng(20240901))
-        s0 = project_bhp(f, 4, QuadratureConfig())
-        s1 = project_bhp(apply_group(BHPElement(n, alpha, beta), f), 4, QuadratureConfig())
+        s0 = project_bhp(f, QuadratureConfig(n_max=4))
+        s1 = project_bhp(apply_group(BHPElement(n, alpha, beta), f), QuadratureConfig(n_max=4))
         for m in s0.entries:
             assert s1.entries[m] == pytest.approx(s0.entries[m], rel=2e-7, abs=1e-9)
 
 
 class TestReducedFormsBhp:
-    def test_diagonal(self, rng, quad_bhp):
-        s = project_bhp(random_s0_field(rng), 4, quad_bhp)
+    def test_diagonal(self, rng):
+        s = project_bhp(random_s0_field(rng), QuadratureConfig(n_max=4))
         om, mu_ = reduced_forms_bhp(s, s)
         assert om == 0.0
         assert mu_ == pytest.approx(sum(abs(v) ** 2 for v in s.entries.values()), rel=1e-12)
@@ -198,9 +199,9 @@ class TestReducedFormsBhp:
             _, m22 = reduced_forms_bhp(s2, s2)
             assert 0.5 * abs(om) <= np.sqrt(m11 * m22) * (1 + 1e-12) + 1e-15
 
-    def test_truncation_mismatch(self, rng, quad_bhp):
-        s1 = project_bhp(random_s0_field(rng), 3, quad_bhp)
-        s2 = project_bhp(random_s0_field(rng), 4, quad_bhp)
+    def test_truncation_mismatch(self, rng):
+        s1 = project_bhp(random_s0_field(rng), QuadratureConfig(n_max=3))
+        s2 = project_bhp(random_s0_field(rng), QuadratureConfig(n_max=4))
         with pytest.raises(ValueError):
             reduced_forms_bhp(s1, s2)
 
@@ -209,8 +210,8 @@ class TestReducedFormsBhp:
         from ccr_reduce import average_bform_bhp_reduced
 
         f1, f2 = random_s0_field(rng), random_s0_field(rng)
-        s1 = project_bhp(f1, quad_bhp.n_max, quad_bhp)
-        s2 = project_bhp(f2, quad_bhp.n_max, quad_bhp)
+        s1 = project_bhp(f1, quad_bhp)
+        s2 = project_bhp(f2, quad_bhp)
         om, mu_ = reduced_forms_bhp(s1, s2)
         avg = average_bform_bhp_reduced(f1, f2, quad_bhp, sequences=(s1, s2)).value
         assert mu_ == avg.real and om == -2.0 * avg.imag
@@ -265,7 +266,7 @@ class TestNullSpace:
 
     def test_given_sequences_match_projections(self, rng, quad_bhp):
         fields = [random_s0_field(rng) for _ in range(3)]
-        seqs = [project_bhp(f, quad_bhp.n_max, quad_bhp) for f in fields]
+        seqs = [project_bhp(f, quad_bhp) for f in fields]
         passed = null_space_analysis(fields, "bhp", quad_bhp, sequences=seqs)
         assert passed == null_space_analysis(fields, "bhp", quad_bhp)
         with pytest.raises(ValueError, match="sequences"):
@@ -275,10 +276,10 @@ class TestNullSpace:
 
 
 class TestGowdy:
-    def test_identification_is_exact(self, rng, quad_bhp):
+    def test_identification_is_exact(self, rng):
         f1, f2 = random_s0_field(rng), random_s0_field(rng)
-        s1 = project_bhp(f1, 5, quad_bhp)
-        s2 = project_bhp(f2, 5, quad_bhp)
+        s1 = project_bhp(f1, QuadratureConfig(n_max=5))
+        s2 = project_bhp(f2, QuadratureConfig(n_max=5))
         c, d = gowdy_forms(gowdy_from_sequence(s1), gowdy_from_sequence(s2))
         om, mu_ = reduced_forms_bhp(s1, s2)
         assert c == om and d == mu_   # same finite sums, bit for bit
@@ -295,8 +296,8 @@ class TestGowdy:
         expected = bessel_j0(1.0) / np.sqrt(2.0)
         assert gowdy_value(p, 1.0, 0.0) == pytest.approx(expected, rel=1e-12)
 
-    def test_zero_mode_undefined(self, rng, quad_bhp):
-        s = project_bhp(random_field(rng, mass=0.0), 3, quad_bhp)
+    def test_zero_mode_undefined(self, rng):
+        s = project_bhp(random_field(rng, mass=0.0), QuadratureConfig(n_max=3))
         sol = gowdy_from_sequence(s)
         with pytest.raises(ZeroModeUndefinedError):
             gowdy_value(sol, 1.0, 0.0)

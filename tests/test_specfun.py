@@ -76,7 +76,7 @@ class TestHankel:
 class TestIntegralRepresentation:
     @pytest.mark.parametrize("x", [1.0, 5.0])
     def test_matches_series_route(self, x):
-        res = hankel2_0_integral(x, s_cutoff=12.0)
+        res = hankel2_0_integral(x)
         assert abs(res.value - hankel2_0(x)) < 1e-4
         assert res.method == "integral"
 
