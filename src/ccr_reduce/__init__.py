@@ -18,7 +18,6 @@ from .averaging import (
     average_field_bhp,
     average_form_circle,
     bhp_reduced_integrand,
-    make_bhp_grid,
     poisson_check,
     substitution_check,
     zero_mode_divergence_probe,

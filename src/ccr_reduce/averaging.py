@@ -1,11 +1,11 @@
 """Group-averaged bilinear forms and group-averaged fields.
 
 The compact average is a normalized trapezoid over the rotation angle.  The
-non-compact average is evaluated at three levels: per-element values on small
-explicit grids (cross-checks only), the semi-analytic form in which the
-discrete sum and the z-translation integral have been carried out as the
-delta-function identities they are, and the fully reduced sum over sequence
-entries.  The delta identities themselves are validated separately at small
+non-compact average is evaluated at three levels: the unreduced sum over a
+product grid of group elements on one fixed momentum grid (cross-checks
+only), the semi-analytic form in which the discrete sum and the
+z-translation integral have been carried out as the delta-function
+identities they are, and the fully reduced sum over sequence entries.  The delta identities themselves are validated separately at small
 scale by poisson_check.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad as _squad
 
 from .errors import ZeroModeDivergenceError
-from .forms import FormValue, _affine_pair, _ball_bform, _closed_pair, _tail_radius, bform
+from .forms import FormValue, _affine_pair, _ball_bform, _closed_pair, _tail_radius
 from .groups import (
     BHPElement,
     _rotation_matrix,
@@ -130,90 +130,48 @@ def average_form_circle(form: str, f1: FieldVector, f2: FieldVector,
     return AverageResult(-2.0 * avg.value.imag, 2.0 * avg.error_estimate, avg.tail_bound)
 
 
-# --- non-compact group: explicit-grid level -----------------------------------
+# --- non-compact group: product-grid level ------------------------------------
 
-def make_bhp_grid(ns: Sequence[int], alpha_cutoff: float, n_alpha: int,
-                  beta_cutoff: float, n_beta: int):
-    """Tensor Gauss grid on the truncated group, as (element, weight) pairs."""
-    a_nodes, a_w = gl_nodes(n_alpha, -alpha_cutoff, alpha_cutoff)
-    b_nodes, b_w = gl_nodes(n_beta, -beta_cutoff, beta_cutoff)
-    grid = []
-    for n in ns:
-        for a, wa in zip(a_nodes, a_w):
-            for b, wb in zip(b_nodes, b_w):
-                grid.append((BHPElement(n, float(a), float(b)), float(wa * wb)))
-    return grid
-
-
-def average_bform_bhp_direct(f1: FieldVector, f2: FieldVector,
-                             g_grid: Sequence[Tuple[BHPElement, float]],
-                             quad: QuadratureConfig = DEFAULT_CONFIG,
-                             fixed_counts: Optional[Tuple[int, int, int]] = None,
+def average_bform_bhp_direct(f1: FieldVector, f2: FieldVector, ns: Sequence[int],
+                             alpha_rule, beta_rule, counts: Tuple[int, int, int],
                              ) -> AverageResult:
-    """Weighted sum of B(f1, Phi_g f2) over an explicit finite grid of g.
+    """Sum of w_a w_b B(f1, Phi_(n,a,b) f2) over the product grid ns x alpha x beta.
 
-    Each element value comes from full momentum quadrature of the
-    transformed pair, so this is the unreduced route; it is meant for small
-    cross-check grids, never for production averaging.  With fixed_counts a
-    single spherical grid is shared by all elements and partial products are
-    reused across elements that differ only in the z-translation, which
-    makes coarse whole-group sums affordable; error estimates then reflect
-    only grid truncation, not per-element adaptivity.  The tail bound
-    collects the contribution mass sitting on the extreme alpha and n
-    levels of the grid.
+    The rules are (nodes, weights) pairs.  Every element's B comes from one
+    fixed spherical grid with the given counts on the ball of radius
+    bounding_radius(f1.support_box()) + 0.5, so this is the unreduced route
+    and its error estimate is nan.  f2 is boosted once per alpha; on each
+    radial shell the n phases exp(2 pi i n k_x) are built once and summed
+    out over the azimuth, and since k_z = r cos theta does not depend on the
+    azimuth, the beta phases are one (ntheta x nbeta) matrix product.  The
+    tail bound collects the contribution mass on the largest |alpha| (when
+    the rule has more than two distinct |alpha|) and on the largest |n|
+    (when there is more than one distinct |n|).
     """
-    total = 0.0 + 0.0j
-    err = 0.0
-    contribs = []
-    if fixed_counts is not None:
-        contribs = _direct_grid_batched(f1, f2, g_grid, fixed_counts)
-        total = sum(c for _, c in contribs)
-        err = float("nan")  # fixed grid: no per-element refinement estimate
-    else:
-        for g, w in g_grid:
-            b = bform(f1, apply_group(g, f2), quad)
-            total += w * b.value
-            err += abs(w) * b.error_estimate
-            contribs.append((g, w * b.value))
-    alphas = sorted({abs(g.alpha) for g, _ in g_grid})
-    ns = sorted({abs(g.n) for g, _ in g_grid})
-    tail = 0.0
-    if len(alphas) > 2:
-        tail += sum(abs(c) for g, c in contribs if abs(g.alpha) == alphas[-1])
-    if len(ns) > 1:
-        tail += sum(abs(c) for g, c in contribs if abs(g.n) == ns[-1])
-    return AverageResult(total, err, tail)
-
-
-def _direct_grid_batched(f1, f2, g_grid, counts):
-    lo1, hi1 = f1.support_box()
-    r_max = bounding_radius((lo1, hi1)) + 0.5
-    r, wr, D, W = spherical_grid(r_max, *[int(c) for c in counts])
-    by_alpha = {}
-    for g, w in g_grid:
-        by_alpha.setdefault(g.alpha, {}).setdefault(g.n, []).append((g, w))
-    boosted = {alpha: apply_group(BHPElement(0, alpha, 0.0), f2) for alpha in by_alpha}
-    # k_z is azimuth-independent on the spherical grid, so once the n-phase
-    # has been applied the phi axis can be summed out before the beta phases;
-    # the (nr, ntheta) sums are accumulated one radial shell at a time
-    collapsed = {(alpha, n): np.empty((len(r), D.shape[0]), dtype=complex)
-                 for alpha, by_n in by_alpha.items() for n in by_n}
-    for i, (ri, wi) in enumerate(zip(r, wr)):
+    ns = np.asarray(ns, dtype=int)
+    a_nodes, a_w = (np.asarray(x, dtype=float) for x in alpha_rule)
+    b_nodes, b_w = (np.asarray(x, dtype=float) for x in beta_rule)
+    r, wr, D, W = spherical_grid(bounding_radius(f1.support_box()) + 0.5,
+                                 *[int(c) for c in counts])
+    boosted = [apply_group(BHPElement(0, a, 0.0), f2) for a in a_nodes]
+    acc = np.zeros((len(a_nodes), len(ns), len(b_nodes)), dtype=complex)
+    for ri, wi in zip(r, wr):
         K = ri * D
         pre = wi * W * np.conj(f1.amplitude(K))
-        for alpha, by_n in by_alpha.items():
-            amp = pre * boosted[alpha].amplitude(K)
-            for n in by_n:
-                vals = amp if n == 0 else amp * np.exp(2j * np.pi * n * K[..., 0])
-                collapsed[alpha, n][i] = np.sum(vals, axis=1)
-    kz_profile = r[:, None] * D[None, :, 0, 2]
-    out = []
-    for alpha, by_n in by_alpha.items():
-        for n, members in by_n.items():
-            for g, w in members:
-                out.append((g, w * complex(np.sum(collapsed[alpha, n]
-                                                  * np.exp(1j * g.beta * kz_profile)))))
-    return out
+        amp = np.stack([pre * f2a.amplitude(K) for f2a in boosted], axis=1)
+        phases = np.exp(2j * np.pi * ns[:, None, None] * K[None, :, :, 0])
+        # (theta, alpha, phi) @ (theta, phi, n) sums out the azimuth per theta row
+        s = amp @ phases.transpose(1, 2, 0)
+        beta_phases = np.exp(1j * np.outer(ri * D[:, 0, 2], b_nodes))
+        acc += (s.reshape(len(W), -1).T @ beta_phases).reshape(acc.shape)
+    contrib = a_w[:, None, None] * b_w[None, None, :] * acc
+    mags, abs_a, abs_n = np.abs(contrib), np.abs(a_nodes), np.abs(ns)
+    tail = 0.0
+    if len(np.unique(abs_a)) > 2:
+        tail += float(np.sum(mags[abs_a == abs_a.max()]))
+    if len(np.unique(abs_n)) > 1:
+        tail += float(np.sum(mags[:, abs_n == abs_n.max()]))
+    return AverageResult(complex(np.sum(contrib)), float("nan"), tail)
 
 
 def bhp_reduced_integrand(f1: FieldVector, f2: FieldVector, g: BHPElement,
@@ -230,6 +188,8 @@ def bhp_reduced_integrand(f1: FieldVector, f2: FieldVector, g: BHPElement,
     """
     if f1.mass != 0.0 or f2.mass != 0.0:
         raise ValueError("the reduced integrand applies to the massless theory")
+    if f1.is_zero or f2.is_zero:
+        return FormValue(0.0 + 0.0j, 0.0)
     phase_vec = g.phase_vector()
 
     def integrand(Q):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import MassMismatchError, NegativeFormError
-from .modes import FieldVector, GaussianPacket, TransformedPacket, add, scale
+from .modes import FieldVector, add, scale
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -63,8 +63,6 @@ def _affine_of_term(term):
     Returns None when the chain contains a boost, whose frequency factor is
     not Gaussian-affine.
     """
-    if isinstance(term, GaussianPacket):
-        return term.coeff, np.diag(1.0 / term.width**2), term.center.copy(), np.zeros(3)
     base = term.base
     M = np.diag(1.0 / base.width**2)
     b = base.center.copy()
@@ -133,10 +131,9 @@ def _tail_radius(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig,
     def envelope(f, extra):
         rows = []
         for t in f.terms:
-            base, chain = (t.base, t.chain) if isinstance(t, TransformedPacket) else (t, ())
-            A = extra + sum(abs(g.total_rapidity()) for g in chain)
-            rows.append((abs(base.coeff) * np.exp(0.5 * A), np.exp(-A),
-                         np.linalg.norm(base.center), np.max(base.width)))
+            A = extra + sum(abs(g.total_rapidity()) for g in t.chain)
+            rows.append((abs(t.base.coeff) * np.exp(0.5 * A), np.exp(-A),
+                         np.linalg.norm(t.base.center), np.max(t.base.width)))
         C, a, c, w = np.array(rows).T
         return C, c / a, a * a / (2.0 * w * w)
 

@@ -181,12 +181,9 @@ def apply_group(g: GroupElement, f: FieldVector) -> FieldVector:
 
     new_terms = []
     for t in f.terms:
-        if (isinstance(g, RotationElement) and isinstance(t, GaussianPacket)
-                and t.width[0] == t.width[1]):
+        if isinstance(g, RotationElement) and not t.chain and t.width[0] == t.width[1]:
             # xy-isotropic Gaussian: rotating the center is exact
             new_terms.append(GaussianPacket(g.matrix() @ t.center, t.width, t.coeff))
-        elif isinstance(t, TransformedPacket):
-            new_terms.append(TransformedPacket(t.base, (g,) + t.chain))
         else:
-            new_terms.append(TransformedPacket(t, (g,)))
+            new_terms.append(TransformedPacket(t.base, (g,) + t.chain))
     return FieldVector(f.mass, tuple(new_terms))

@@ -38,11 +38,14 @@ class GaussianPacket:
 
     amplitude(k) = coeff * exp(-sum_i (k_i - center_i)^2 / (2 width_i^2)),
     so the peak value equals coeff and decay is faster than any polynomial.
+    It is its own base with an empty action chain, the shape every term
+    shares with TransformedPacket.
     """
 
     center: Array
     width: Array
     coeff: complex
+    chain = ()
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vec3(self.center))
@@ -74,6 +77,10 @@ class GaussianPacket:
 
     def scaled(self, c: complex) -> "GaussianPacket":
         return GaussianPacket(self.center, self.width, self.coeff * c)
+
+    @property
+    def base(self) -> "GaussianPacket":
+        return self
 
     @property
     def has_boost(self) -> bool:
@@ -202,20 +209,16 @@ class FieldVector:
         """Packet centers mapped through their action chains, shape (n, 3)."""
         out = []
         for t in self.terms:
-            if isinstance(t, TransformedPacket):
-                c = t.base.center.reshape(1, 3)
-                for g in reversed(t.chain):
-                    c = g.forward_momentum_map(c)
-                out.append(c[0])
-            else:
-                out.append(t.center)
+            c = t.base.center.reshape(1, 3)
+            for g in reversed(t.chain):
+                c = g.forward_momentum_map(c)
+            out.append(c[0])
         return np.array(out) if out else np.zeros((0, 3))
 
     def max_width(self) -> float:
         best = 0.0
         for t in self.terms:
-            base = t.base if isinstance(t, TransformedPacket) else t
-            best = max(best, float(np.max(base.width)))
+            best = max(best, float(np.max(t.base.width)))
         return best if best > 0 else 1.0
 
     def min_width(self) -> float:
@@ -226,11 +229,8 @@ class FieldVector:
         """
         best = np.inf
         for t in self.terms:
-            if isinstance(t, TransformedPacket):
-                squeeze = np.exp(-sum(abs(g.total_rapidity()) for g in t.chain))
-                best = min(best, float(np.min(t.base.width)) * squeeze)
-            else:
-                best = min(best, float(np.min(t.width)))
+            squeeze = np.exp(-sum(abs(g.total_rapidity()) for g in t.chain))
+            best = min(best, float(np.min(t.base.width)) * squeeze)
         return best if np.isfinite(best) else 1.0
 
     def is_zero_mode_free(self) -> bool:
@@ -242,8 +242,7 @@ class FieldVector:
         average of the field itself converges; the n = 0 projection of
         anything else diverges logarithmically in the boost cutoff.
         """
-        scale = sum(abs(t.base.coeff if isinstance(t, TransformedPacket) else t.coeff)
-                    for t in self.terms)
+        scale = sum(abs(t.base.coeff) for t in self.terms)
         if scale == 0.0:
             return True
         lo, hi = self.support_box()
@@ -323,13 +322,12 @@ def _action_from_json(d: dict):
 def field_to_json(f: FieldVector) -> dict:
     terms = []
     for t in f.terms:
-        base = t.base if isinstance(t, TransformedPacket) else t
-        actions = [g.to_json() for g in t.chain] if isinstance(t, TransformedPacket) else []
+        base = t.base
         terms.append({
             "center": [float(v) for v in base.center],
             "width": [float(v) for v in base.width],
             "coeff": [float(base.coeff.real), float(base.coeff.imag)],
-            "actions": actions,
+            "actions": [g.to_json() for g in t.chain],
         })
     return {"mass": float(f.mass), "terms": terms}
 
@@ -349,19 +347,15 @@ def zero_mode_slice(f: FieldVector):
 
     Complex evaluation is needed by the contour-rotated divergence probe, so
     only untransformed packets and pure translations are supported; boosted
-    or rotated terms would drag the non-entire frequency into the slice.
+    or rotated terms would drag the non-entire frequency into the slice, and
+    raise ValueError.
     """
     parts = []
     for t in f.terms:
-        if isinstance(t, TransformedPacket):
-            if t.has_boost or any(g.phase_vector() is None for g in t.chain):
-                raise NotImplementedError(
-                    "zero-mode slice needs untransformed or translation-only terms")
-            # translation phases vanish on the k_x = k_z = 0 line
-            base = t.base
-        else:
-            base = t
-        parts.append((base.center, base.width, base.coeff))
+        if t.has_boost or any(g.phase_vector() is None for g in t.chain):
+            raise ValueError("zero-mode slice needs untransformed or translation-only terms")
+        # translation phases vanish on the k_x = k_z = 0 line
+        parts.append((t.base.center, t.base.width, t.base.coeff))
 
     def g(ky):
         ky = np.asarray(ky)

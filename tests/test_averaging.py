@@ -21,7 +21,6 @@ from ccr_reduce import (
     average_form_circle,
     bform,
     bhp_reduced_integrand,
-    make_bhp_grid,
     mu,
     poisson_check,
     project_bhp,
@@ -241,6 +240,16 @@ class TestTailRadius:
         check_tail_radius(averaging, lambda q: bhp_reduced_integrand(f1, f2, g, q),
                           integrand_abs, f1, f2, quad)
 
+    def test_reduced_integrand_zero_field(self, rng, quad_bhp):
+        # the zero field's placeholder box meets the other box, so the guard
+        # must come before the ball is sized
+        f = FieldVector(0.0, (GaussianPacket([0.3, 0.2, 0.1], [1.0, 1.0, 1.0], 1.0),))
+        zero = FieldVector(0.0, ())
+        g = BHPElement(1, 0.5, 0.8)
+        for pair in ((zero, f), (f, zero)):
+            res = bhp_reduced_integrand(*pair, g, quad_bhp)
+            assert (res.value, res.error_estimate) == (0.0, 0.0)
+
     def test_seed42_pair_translation_identity(self):
         # on the s0 corpus pair (0, 1) the reduced single integral at
         # g = (1, 0, 0) meets the closed form bform(f1, Phi_g f2) on a ball
@@ -448,19 +457,48 @@ class TestCircleAverage:
             average_form_circle("bform", random_field(rng), random_field(rng), quad)
 
 
+ONE_NODE = ([0.0], [1.0])
+FIXED_COUNTS = (100, 64, 96)
+
+
 class TestBhpDirectLevel:
     def test_identity_element_is_plain_bform(self, rng, quad_bhp):
         f1, f2 = random_s0_field(rng), random_s0_field(rng)
-        res = average_bform_bhp_direct(f1, f2, [(BHPElement(0, 0.0, 0.0), 1.0)], quad_bhp)
+        res = average_bform_bhp_direct(f1, f2, [0], ONE_NODE, ONE_NODE, FIXED_COUNTS)
         assert res.value == pytest.approx(bform(f1, f2, quad_bhp).value, rel=1e-10)
 
     def test_translation_phase_inside_integrand(self, rng, quad_bhp):
         # g = (n, 0, 0) must match the reduced expression with the x-phase
         f1, f2 = random_s0_field(rng), random_s0_field(rng)
-        g = BHPElement(1, 0.0, 0.0)
-        res = average_bform_bhp_direct(f1, f2, [(g, 1.0)], quad_bhp)
-        ref = bhp_reduced_integrand(f1, f2, g, quad_bhp)
+        res = average_bform_bhp_direct(f1, f2, [1], ONE_NODE, ONE_NODE, FIXED_COUNTS)
+        ref = bhp_reduced_integrand(f1, f2, BHPElement(1, 0.0, 0.0), quad_bhp)
         assert res.value == pytest.approx(ref.value, rel=1e-8, abs=1e-12)
+
+    def test_product_grid_is_weighted_element_sum(self, rng):
+        # the (alpha, n, beta) contraction against one element at a time; the
+        # alpha rule is off-centre, so its |alpha| are distinct and the
+        # largest alpha carries a tail alongside the largest |n|
+        f1, f2 = random_s0_field(rng), random_s0_field(rng)
+        ns = [-1, 0, 1]
+        (a, wa), (b, wb) = gl_nodes(3, -0.6, 1.0), gl_nodes(3, -1.5, 1.5)
+        counts = (40, 24, 48)
+        grid = average_bform_bhp_direct(f1, f2, ns, (a, wa), (b, wb), counts)
+        contrib = {}
+        for n in ns:
+            for i in range(3):
+                for j in range(3):
+                    one = average_bform_bhp_direct(f1, f2, [n], ([a[i]], [1.0]),
+                                                   ([b[j]], [1.0]), counts)
+                    assert one.tail_bound == 0.0
+                    contrib[n, i, j] = wa[i] * wb[j] * one.value
+        mass = sum(abs(c) for c in contrib.values())
+        assert mass > 1e-3
+        assert abs(grid.value - sum(contrib.values())) <= 1e-12 * mass
+        assert np.isnan(grid.error_estimate)
+        i_edge = int(np.argmax(np.abs(a)))
+        tail = (sum(abs(c) for (_, i, _), c in contrib.items() if i == i_edge)
+                + sum(abs(c) for (n, _, _), c in contrib.items() if abs(n) == 1))
+        assert grid.tail_bound == pytest.approx(tail, rel=1e-12)
 
     def test_sampled_g_integrand_identity(self, rng, quad_bhp):
         f1, f2 = random_s0_field(rng), random_s0_field(rng)
@@ -485,9 +523,8 @@ class TestBhpDirectLevel:
         f1 = s0_field([1.0, -0.3, 0.4], [0.8, 0.9, 0.9], 0.9 + 0.4j)
         f2 = s0_field([0.7, 0.5, -0.3], [0.9, 0.8, 1.0], 0.6 - 0.7j)
         red = average_bform_bhp_reduced(f1, f2, quad_bhp)
-        grid = make_bhp_grid(range(-3, 4), 10.0, 64, 8.0, 28)
-        direct = average_bform_bhp_direct(f1, f2, grid, quad_bhp,
-                                          fixed_counts=(100, 64, 96))
+        direct = average_bform_bhp_direct(f1, f2, range(-3, 4), gl_nodes(64, -10.0, 10.0),
+                                          gl_nodes(28, -8.0, 8.0), FIXED_COUNTS)
         assert abs(direct.value - red.value) <= 2e-3 * abs(red.value)
 
 

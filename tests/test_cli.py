@@ -209,3 +209,9 @@ class TestInvalidFieldInput:
         boost = {"kind": "bhp", "n": 0, "alpha": 0.5, "beta": 0.0}
         assert self.run_bounds(tmp_path, actions=[boost], scenario="axisym") == 2
         assert "boost-free" in capsys.readouterr().err
+
+    def test_zero_mode_with_rotated_term_exits_2(self, tmp_path, capsys):
+        # a rotation drags the frequency into the complex-evaluated slice
+        rotation = {"kind": "rotation", "angle": 0.4}
+        assert self.run_bounds(tmp_path, actions=[rotation], scenario="zero-mode") == 2
+        assert "translation-only" in capsys.readouterr().err
