@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad as _squad
 
 from .errors import ZeroModeDivergenceError
 from .forms import FormValue, _affine_pair, _ball_bform, _closed_pair, _tail_radius
@@ -335,25 +334,37 @@ def poisson_check(h: Callable[[float], float], n_max: int, u_cutoff: float):
     return lhs, rhs
 
 
-def substitution_check(h: Callable[[float], float], support: float,
+def substitution_check(h: Callable[[np.ndarray], np.ndarray], support: float,
                        n: int = 1, ky: float = 0.7):
     """Change-of-variables identity behind the boost-parameter integral.
 
     lhs integrates h(l(alpha)) against the absolute Jacobian |dl/dalpha| =
     sqrt(n^2 + l(alpha)^2); rhs integrates h directly over l.  `support`
     bounds where h is non-negligible so both sides can be truncated honestly.
+    h is called on arrays of nodes.  Each side is a Gauss-Legendre ladder
+    (32 to 1024 nodes) that stops at rel_tol 1e-11 or abs_tol 1e-13 and
+    raises QuadratureError when it cannot.
     """
     w = float(np.hypot(n, ky))
+    cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13)
 
     def l_of(a):
         return ky * np.cosh(a) - w * np.sinh(a)
 
+    def integral(fn, a, b) -> float:
+        def level(m: int) -> float:
+            x, wx = gl_nodes(m, a, b)
+            return float(np.sum(wx * fn(x)))
+
+        value, _ = _refine(level, (32 * 2**i for i in range(6)), cfg,
+                           "substitution-check quadrature did not converge")
+        return value
+
     # |l(alpha)| grows like exp(|alpha|); restrict to where h can contribute
     a_max = np.log(2.0 * (support + abs(ky) + w) / max(w - abs(ky), 1e-12)) + 1.0
-    lhs, _ = _squad(lambda a: np.hypot(n, l_of(a)) * h(l_of(a)), -a_max, a_max,
-                    epsabs=1e-13, epsrel=1e-11, limit=400)
-    rhs, _ = _squad(h, -support, support, epsabs=1e-13, epsrel=1e-11, limit=400)
-    return float(lhs), float(rhs)
+    lhs = integral(lambda a: np.hypot(n, l_of(a)) * h(l_of(a)), -a_max, a_max)
+    rhs = integral(h, -support, support)
+    return lhs, rhs
 
 
 # --- group-averaged field -----------------------------------------------------

@@ -9,10 +9,10 @@ boosted terms are integrated numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import MassMismatchError, NegativeFormError
 from .modes import FieldVector, add, scale
@@ -25,6 +25,7 @@ from .quadrature import (
 )
 
 _CLOSED_FORM_EPS = 5e-15
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def _tail_radius(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig,
     def tail(R):
         # int_R^inf r^2 exp(-P (r - m)^2) dr, with u = r - m >= 0
         u = R - m
-        gauss = 0.5 * np.sqrt(np.pi / P) * erfc(np.sqrt(P) * u)
+        gauss = 0.5 * np.sqrt(np.pi / P) * _erfc(np.sqrt(P) * u)
         return float(np.sum(pref * ((m * m + 0.5 / P) * gauss
                                     + (u + 2.0 * m) * np.exp(-P * u * u) / (2.0 * P))))
 

@@ -15,6 +15,9 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+# numpy loads its polynomial package lazily; importing the rule here keeps
+# that load in the package import instead of in the first integral
+from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError
 
@@ -48,15 +51,17 @@ def _refine(evaluate: Callable, levels: Iterable, cfg: QuadratureConfig, failure
     Returns (value, error) for the later value of the first pair with
     |cur - prev| <= max(abs_tol, rel_tol |cur|); the difference is a
     faithful error estimate for the spectrally convergent rules used here
-    as long as every level refines its predecessor.  Running out of levels
-    raises QuadratureError(failure): an unconverged value is never returned.
+    as long as every level refines its predecessor.  A level may be an
+    array: the difference is then taken in the max norm and the tolerance
+    applies to the largest entry.  Running out of levels raises
+    QuadratureError(failure): an unconverged value is never returned.
     """
     prev = None
     for level in levels:
         cur = evaluate(level)
         if prev is not None:
-            err = abs(cur - prev)
-            if err <= max(cfg.abs_tol, cfg.rel_tol * abs(cur)):
+            err = float(np.max(np.abs(cur - prev)))
+            if err <= max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(cur)))):
                 return cur, err
         prev = cur
     raise QuadratureError(failure)
@@ -83,7 +88,7 @@ def _count_ladder(base_counts, caps, growth: float, floor: int):
 
 @lru_cache(maxsize=128)
 def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(int(n))
+    return leggauss(int(n))
 
 
 def gl_nodes(n: int, a: float, b: float):

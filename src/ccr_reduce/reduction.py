@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad_vec
 
-from .errors import NonSymplecticError, QuadratureError, ZeroModeUndefinedError
+from .errors import NonSymplecticError, ZeroModeUndefinedError
 from .forms import mu
 from .groups import checked_haar_scale
 from .modes import FieldVector
@@ -39,7 +38,9 @@ class ReducedSequence:
 
     zero_mode_defined records whether the underlying field lies in the
     zero-mode-free subspace, in which case the identification with reduced
-    wave solutions fixes the zero mode to be absent.
+    wave solutions fixes the zero mode to be absent.  error_estimate bounds
+    the quadrature error of every entry: from project_bhp it is the
+    max-norm difference of the last two ladder levels, times sqrt(2 pi).
     """
 
     entries: dict
@@ -194,29 +195,39 @@ def reduced_forms_axisym(A1: AxisymmetricAmplitude, A2: AxisymmetricAmplitude,
 def project_bhp(f: FieldVector, quad: QuadratureConfig = DEFAULT_CONFIG) -> ReducedSequence:
     """Sequence A_n = (sqrt(2 pi)/i) * int dk (n^2+k^2)^(-1/4) a(n, k, 0), |n| <= quad.n_max.
 
-    One adaptive integral over u, with k = u|u|, yields every A_n at once:
-    the substitution removes the |k|^(-1/2) endpoint of the n = 0 integrand
-    exactly, and the split at u = 0 keeps every other integrand smooth on
-    both halves.  Tolerances apply to the largest entry; an integral that
-    misses them raises QuadratureError.
+    With k = +-u^2 every integral runs over u in [0, u_hi], of
+    2 u (n^2+u^4)^(-1/4) (a(n, u^2, 0) + a(n, -u^2, 0)): the substitution
+    removes the |k|^(-1/2) endpoint of the n = 0 integrand exactly, and
+    each half is smooth in u even where the integrand jumps at k = 0 (the
+    n = 0 frequency ratio of a boosted term).  One Gauss-Legendre ladder in
+    u yields every A_n at once, each level one amplitude evaluation on an
+    (n_modes, 2m, 3) block.  A packet of width w at k_y = u^2 is about
+    w / (2u) wide in u, so the starting count scales with u_hi^2 over the
+    narrowest width.  The ladder has four levels 1.5 apart and starts at
+    32 * 1.5^j nodes (820 at most).  Tolerances apply to the largest
+    entry; a ladder that runs out of levels raises QuadratureError.
     """
     if f.mass != 0.0:
         raise ValueError("the discrete reduction applies to the massless theory")
-    ns = np.array(ordered_ns(quad.n_max), dtype=float)
+    ns = np.array(ordered_ns(quad.n_max), dtype=float)[:, None]
     lo, hi = f.support_box()
     u_hi = np.sqrt(max(abs(float(lo[1]) - 0.5), abs(float(hi[1]) + 0.5)))
+    # a packet at the far end of the interval needs 2 to 3 u_hi^2 / w nodes;
+    # rounding the start up to the 32 * 1.5^j ladder lets the fields of a
+    # corpus share cached rules
+    need = 2.0 * u_hi * u_hi / max(f.min_width(), 1e-3)
+    j0 = int(np.clip(np.ceil(np.log(need / 32.0) / np.log(1.5)), 0, 8))
 
-    def integrand(u: float) -> np.ndarray:
-        k = np.stack([ns, np.full_like(ns, u * abs(u)), np.zeros_like(ns)], axis=-1)
-        return 2.0 * abs(u) * (ns * ns + u ** 4) ** -0.25 * f.amplitude(k)
+    def level(m: int) -> np.ndarray:
+        u, w = gl_nodes(m, 0.0, u_hi)
+        K = np.stack(np.broadcast_arrays(ns, np.concatenate([u * u, -u * u]), 0.0), axis=-1)
+        a = f.amplitude(K)
+        return np.sum(2.0 * w * u * (ns * ns + u ** 4) ** -0.25 * (a[:, :m] + a[:, m:]), axis=1)
 
-    q_val, q_err, info = quad_vec(integrand, -u_hi, u_hi, epsabs=quad.abs_tol,
-                                  epsrel=quad.rel_tol, norm="max", points=[0.0],
-                                  full_output=True)
-    if info.status != 0:
-        raise QuadratureError(f"mode-constant integral did not converge: {info.message}")
-    entries = {int(n): SQRT_2PI / 1j * v for n, v in zip(ns, q_val)}
-    return ReducedSequence(entries, f.is_zero_mode_free(), SQRT_2PI * float(q_err))
+    q_val, q_err = _refine(level, (int(32 * 1.5**j) for j in range(j0, j0 + 4)), quad,
+                           "mode-constant integral did not converge")
+    entries = {int(n): SQRT_2PI / 1j * v for n, v in zip(ns[:, 0], q_val)}
+    return ReducedSequence(entries, f.is_zero_mode_free(), SQRT_2PI * q_err)
 
 
 # --- null-space / rank analysis ----------------------------------------------

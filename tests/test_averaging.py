@@ -78,6 +78,29 @@ class TestRefinementLadders:
             _refine(lambda n: 1.0 + 10.0 ** -n, range(1, 5), QuadratureConfig(),
                     "no convergence")
 
+    def test_vector_levels_use_max_norm_against_largest_entry(self):
+        def level(n):
+            # the small entry changes by 90% per level and sets the max-norm
+            # difference 4.5 * 10^(2-n); rel_tol 1e-8 of the largest entry
+            # (about 2) first admits it at n = 11
+            return np.array([2.0 + 10.0 ** -n, 0.5 * 10.0 ** (2 - n)])
+
+        value, err = _refine(level, range(1, 20), QuadratureConfig(), "no convergence")
+        assert np.array_equal(value, level(11))
+        assert err == np.max(np.abs(level(11) - level(10)))
+        assert err == pytest.approx(4.5e-9, rel=1e-12)
+
+    def test_vector_levels_raise_when_levels_run_out(self):
+        with pytest.raises(QuadratureError, match="no convergence"):
+            _refine(lambda n: np.array([2.0 + 10.0 ** -n, 0.5 * 10.0 ** (2 - n)]),
+                    range(1, 11), QuadratureConfig(), "no convergence")
+
+    def test_substitution_check_gaussian(self):
+        # both sides equal int exp(-x^2/2) dx = sqrt(2 pi) up to a tail of e^-72
+        lhs, rhs = substitution_check(lambda x: np.exp(-0.5 * x * x), support=12.0, n=1, ky=0.7)
+        assert abs(lhs - np.sqrt(2.0 * np.pi)) <= 1e-12
+        assert abs(rhs - np.sqrt(2.0 * np.pi)) <= 1e-12
+
     def test_tensor3_raises_at_its_cap(self):
         def fn(K):
             return np.exp(40j * K[..., 0]) * np.exp(-np.sum(K * K, axis=-1) / 0.02)

@@ -128,6 +128,24 @@ class TestCliProcess:
         assert res.returncode == 0, res.stderr
         assert "PASS" in res.stdout
 
+    def test_no_scipy_on_the_import_path(self):
+        # importing scipy.integrate took about 0.6 s and 50 MB of every CLI
+        # process's set-up on a 2-core x86 box; the package needs numpy
+        # alone, also in the three functions that used to call scipy
+        code = ("import sys, numpy as np\n"
+                "import ccr_reduce.cli\n"
+                "from ccr_reduce import FieldVector, GaussianPacket, QuadratureConfig, "
+                "project_bhp, substitution_check\n"
+                "from ccr_reduce.forms import _tail_radius\n"
+                "f = FieldVector(0.0, (GaussianPacket([0.5, 0.3, 0.1], [1, 1, 1], 1.0),))\n"
+                "project_bhp(f, QuadratureConfig(n_max=2))\n"
+                "substitution_check(lambda x: np.exp(-0.5 * x * x), 12.0)\n"
+                "_tail_radius(f, f, QuadratureConfig(), 20.0)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
     def test_bundled_corpus_loads(self):
         fields = load_corpus("bundled")
         assert len(fields) == 6

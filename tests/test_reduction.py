@@ -41,6 +41,30 @@ from ccr_reduce.reduction import (
 from conftest import random_field, random_s0_field
 
 
+def max_entry(s: ReducedSequence) -> float:
+    return max(abs(v) for v in s.entries.values())
+
+
+def assert_matches_slice_oracle(s: ReducedSequence, f: FieldVector, splits, magnitude: float):
+    """Every A_n within 1e-10 of `magnitude` of mpmath.quad on the k_y slice.
+
+    The oracle integrates (n^2+k^2)^(-1/4) f.amplitude(n, k, 0) over the
+    real line at 30 digits, split at k = 0 and at `splits`.
+    """
+    with mpmath.workdps(30):
+        for n, value in s.entries.items():
+            def slice_integrand(k, n=n):
+                k = float(k)
+                if n == 0 and k == 0.0:
+                    return 0.0
+                return (n * n + k * k) ** -0.25 * complex(f.amplitude(np.array([n, k, 0.0])))
+
+            points = sorted({0.0, *map(float, splits)})
+            q = mpmath.quad(slice_integrand, [-mpmath.inf, *points, mpmath.inf])
+            oracle = complex(mpmath.sqrt(2 * mpmath.pi) / 1j * q)
+            assert abs(value - oracle) <= 1e-10 * magnitude, (n, value, oracle)
+
+
 class TestProjectAxisymmetric:
     def test_radial_field_passthrough(self):
         # radial in (kx, ky): A(kappa, kz) = sqrt(kappa) * a(kappa, 0, kz)
@@ -170,6 +194,36 @@ class TestProjectBhp:
         f = random_s0_field(rng)
         with pytest.raises(QuadratureError):
             project_bhp(f, QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300, n_max=8))
+
+    def test_zero_mode_endpoint_vs_mpmath(self):
+        # the n = 0 integrand carries |k|^(-1/2) at k = 0
+        f = FieldVector(0.0, (GaussianPacket([0.3, 0.8, -0.2], [0.7, 0.9, 0.8], 0.6 - 0.3j),))
+        s = project_bhp(f, QuadratureConfig(n_max=2))
+        assert abs(s.entries[0]) > 1.0
+        assert_matches_slice_oracle(s, f, [0.8], max_entry(s))
+
+    def test_boosted_null_vector_vs_mpmath(self):
+        # the nullspace scenario's (Phi_h - 1) psi: a y-boost maps k_y to
+        # k_y e^(-+alpha) on the two sides of k = 0, so the n = 0 frequency
+        # ratio jumps there; the null vector's entries are roundoff, so both
+        # fields are judged against the boosted field's largest entry
+        psi = FieldVector(0.0, (GaussianPacket([0.9, -1.1, 0.4], [0.8, 0.7, 0.9], 0.5 + 0.4j),))
+        boosted = apply_group(BHPElement(1, 0.7, -0.9), psi)
+        null_vec = add(boosted, scale(psi, -1.0))
+        splits = [-1.1, -1.1 * np.exp(0.7), -1.1 * np.exp(-0.7)]
+        s_boosted = project_bhp(boosted, QuadratureConfig(n_max=2))
+        assert abs(s_boosted.entries[0]) > 1.0
+        for f in (boosted, null_vec):
+            s = project_bhp(f, QuadratureConfig(n_max=2))
+            assert_matches_slice_oracle(s, f, splits, max_entry(s_boosted))
+
+    def test_narrow_packet_vs_mpmath(self):
+        # y-width 0.01 at k_y = 2.5 is about 0.003 wide in u = sqrt(k_y):
+        # only a starting count that scales with the width resolves it
+        f = FieldVector(0.0, (GaussianPacket([0.4, 2.5, 0.1], [0.6, 0.01, 0.7], 1.0),))
+        s = project_bhp(f, QuadratureConfig(n_max=2))
+        assert max_entry(s) > 1e-2
+        assert_matches_slice_oracle(s, f, [2.5], max_entry(s))
 
     @given(n=st.integers(-3, 3), alpha=st.floats(-1.0, 1.0), beta=st.floats(-2.0, 2.0))
     @settings(max_examples=25, deadline=None)
