@@ -24,7 +24,7 @@ from .groups import (
     apply_group,
     checked_haar_scale,
 )
-from .modes import FieldVector, omega_of, zero_mode_slice
+from .modes import FieldVector, momentum_norm, zero_mode_slice
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -189,15 +189,16 @@ def bhp_reduced_integrand(f1: FieldVector, f2: FieldVector, g: BHPElement,
         raise ValueError("the reduced integrand applies to the massless theory")
     if f1.is_zero or f2.is_zero:
         return FormValue(0.0 + 0.0j, 0.0)
-    phase_vec = g.phase_vector()
 
     def integrand(Q):
-        w = omega_of(Q, 0.0)
-        Qf = g.forward_momentum_map(Q)
-        wf = omega_of(Qf, 0.0)
+        qx, qy, qz = Q[..., 0], Q[..., 1], Q[..., 2]
+        w = momentum_norm(qx, qy, qz)
+        _, ly, _, wf = g.push_forward(qx, qy, qz, w)
         ratio = np.where(w > 0.0, wf / np.maximum(w, 1e-300), 1.0)
-        return (np.sqrt(ratio) * np.conj(f1.amplitude(Qf)) * f2.amplitude(Q)
-                * np.exp(1j * (Q @ phase_vec)))
+        out = (np.sqrt(ratio) * np.conj(f1.amplitude(np.stack((qx, ly, qz), axis=-1)))
+               * f2.amplitude(Q))
+        theta = g.phase_at(qx, qy, qz)
+        return out if theta is None else out * np.exp(1j * theta)
 
     box2 = f2.support_box()
     lo1, hi1 = f1.support_box()

@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .errors import GroupMismatchError
-from .modes import FieldVector, GaussianPacket, TransformedPacket, omega_of
+from .modes import FieldVector, GaussianPacket, TransformedPacket, momentum_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -35,6 +35,17 @@ def _rotation_matrix(angle) -> np.ndarray:
     R[..., 0, 0], R[..., 0, 1], R[..., 1, 0], R[..., 1, 1] = c, -s, s, c
     R[..., 2, 2] = 1.0
     return R
+
+
+def _turn(angle, kx, ky, kz, w):
+    c, s = np.cos(angle), np.sin(angle)
+    return c * kx - s * ky, s * kx + c * ky, kz, w
+
+
+def _stacked(move, K) -> np.ndarray:
+    """A component map (pull_back or push_forward) applied to stacked momenta (..., 3)."""
+    K = np.asarray(K, float)
+    return np.stack(move(K[..., 0], K[..., 1], K[..., 2], None)[:3], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -58,14 +69,24 @@ class RotationElement:
     def phase_vector(self):
         return None
 
+    def phase_at(self, kx, ky, kz):
+        return None
+
     def matrix(self) -> np.ndarray:
         return _rotation_matrix(self.angle)
 
+    def pull_back(self, kx, ky, kz, w):
+        """Components of R^-1 k = R^T k; |k| = w is unchanged (None stays None)."""
+        return _turn(-self.angle, kx, ky, kz, w)
+
+    def push_forward(self, kx, ky, kz, w):
+        return _turn(self.angle, kx, ky, kz, w)
+
     def inverse_momentum_map(self, K):
-        return np.asarray(K, float) @ _rotation_matrix(self.angle)  # K @ R == R^T K
+        return _stacked(self.pull_back, K)
 
     def forward_momentum_map(self, K):
-        return np.asarray(K, float) @ _rotation_matrix(-self.angle)
+        return _stacked(self.push_forward, K)
 
     def affine_parts(self):
         return _rotation_matrix(self.angle), np.zeros(3)
@@ -108,22 +129,33 @@ class BHPElement:
     def phase_vector(self):
         return np.array([TWO_PI * self.n, 0.0, self.beta])
 
-    def _boost(self, K, sign: float):
-        K = np.asarray(K, float)
-        out = np.array(K, copy=True)
-        w = omega_of(K, 0.0)
-        out[..., 1] = K[..., 1] * np.cosh(self.alpha) + sign * w * np.sinh(self.alpha)
-        return out
+    def phase_at(self, kx, ky, kz):
+        """theta_g(k) = 2 pi n k_x + beta k_z, or None when both terms vanish."""
+        if self.n == 0 and self.beta == 0.0:
+            return None
+        return TWO_PI * self.n * kx + self.beta * kz
+
+    def _boost(self, kx, ky, kz, w, sign: float):
+        # k_y -> k_y cosh(alpha) + sign |k| sinh(alpha); the new |k| comes back with it
+        if self.alpha == 0.0:
+            return kx, ky, kz, w
+        if w is None:
+            w = momentum_norm(kx, ky, kz)
+        ky = ky * np.cosh(self.alpha) + sign * w * np.sinh(self.alpha)
+        return kx, ky, kz, momentum_norm(kx, ky, kz)
+
+    def pull_back(self, kx, ky, kz, w):
+        """Components of L^-1 k and its |k|, given w = |k| (or None to compute it)."""
+        return self._boost(kx, ky, kz, w, +1.0)
+
+    def push_forward(self, kx, ky, kz, w):
+        return self._boost(kx, ky, kz, w, -1.0)
 
     def inverse_momentum_map(self, K):
-        if self.alpha == 0.0:
-            return np.asarray(K, float)
-        return self._boost(K, +1.0)
+        return _stacked(self.pull_back, K)
 
     def forward_momentum_map(self, K):
-        if self.alpha == 0.0:
-            return np.asarray(K, float)
-        return self._boost(K, -1.0)
+        return _stacked(self.push_forward, K)
 
     def affine_parts(self):
         if self.alpha != 0.0:
@@ -174,7 +206,9 @@ def apply_group(g: GroupElement, f: FieldVector) -> FieldVector:
     """Act on a field; rotations of xy-isotropic packets stay closed form.
 
     Boosts require the massless theory (FieldVector rejects a boosted term
-    on a massive field); other actions work for any mass.
+    on a massive field); other actions work for any mass.  Terms that shared
+    a chain share the extended one, so FieldVector.amplitude still maps
+    them once.
     """
     if g.is_identity():
         return f

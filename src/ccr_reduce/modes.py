@@ -23,13 +23,44 @@ def _vec3(x) -> Array:
     return np.asarray(x, dtype=float).reshape(3).copy()
 
 
+def momentum_norm(kx, ky, kz, mass: float = 0.0):
+    """sqrt(|k|^2 + m^2) from the components of k: |k| for the massless field."""
+    # explicit sum over the components: numpy's reduce over a (..., 3) axis
+    # adds in the same order, but its per-row dispatch dominates on large blocks
+    return np.sqrt(kx * kx + ky * ky + kz * kz + mass * mass)
+
+
 def omega_of(K: Array, mass: float) -> Array:
     """Relativistic frequency sqrt(|k|^2 + m^2) for stacked momenta (..., 3)."""
-    # explicit sum over the length-3 axis: numpy's reduce adds in the same
-    # order, but its per-row dispatch dominates the cost on large blocks
     K = np.asarray(K)
-    kx, ky, kz = K[..., 0], K[..., 1], K[..., 2]
-    return np.sqrt(kx * kx + ky * ky + kz * kz + mass * mass)
+    return momentum_norm(K[..., 0], K[..., 1], K[..., 2], mass)
+
+
+def map_chain(chain, kx, ky, kz):
+    """Pull the momenta (kx, ky, kz) back through an action chain.
+
+    chain is ordered outermost-first, as in TransformedPacket.  Returns the
+    components of L_chain^-1 k, at which the base packets are evaluated,
+    and the factor exp(i theta) sqrt(w(L^-1 k) / w(k)) that multiplies them
+    (None when the chain has neither a phase nor a boost).  Every element adds its phase at the momentum
+    it receives; |k| is computed once, at the first boost, and each boost
+    hands its new |k| on, so the frequency ratios telescope to the last |k|
+    over the first (ratio 1 at k = 0, which every map fixes).
+    """
+    theta = None
+    w0 = w = None
+    for g in chain:
+        th = g.phase_at(kx, ky, kz)
+        if th is not None:
+            theta = th if theta is None else theta + th
+        if w is None and g.involves_boost:
+            w0 = w = momentum_norm(kx, ky, kz)
+        kx, ky, kz, w = g.pull_back(kx, ky, kz, w)
+    factor = None if theta is None else np.exp(1j * theta)
+    if w0 is not None:
+        root = np.sqrt(np.where(w0 > 0.0, w / np.maximum(w0, 1e-300), 1.0))
+        factor = root if factor is None else factor * root
+    return kx, ky, kz, factor
 
 
 @dataclass(frozen=True)
@@ -58,18 +89,22 @@ class GaussianPacket:
             raise ValueError("packet widths must be strictly positive")
 
     def amplitude(self, K: Array) -> Array:
-        d = (K - self.center) / self.width
-        dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+        K = np.asarray(K, dtype=float)
+        return self.at(K[..., 0], K[..., 1], K[..., 2])
+
+    def at(self, kx, ky, kz) -> Array:
+        """The amplitude at the momenta with components kx, ky, kz."""
+        (cx, cy, cz), (wx, wy, wz) = self.center, self.width
+        dx, dy, dz = (kx - cx) / wx, (ky - cy) / wy, (kz - cz) / wz
         return self.coeff * np.exp(-0.5 * (dx * dx + dy * dy + dz * dz))
 
-    def z_factors(self, Kxy: Array, kz: Array):
+    def z_factors(self, kx, ky, kz):
         """The amplitude as X(k_x, k_y) * Z(k_z), with the coefficient in X.
 
-        Kxy has shape (..., 2); X has shape (...) and Z the shape of kz.
+        X has the broadcast shape of kx and ky, and Z the shape of kz.
         """
-        d = (Kxy - self.center[:2]) / self.width[:2]
         dz = (kz - self.center[2]) / self.width[2]
-        return self.coeff * np.exp(-0.5 * np.sum(d * d, axis=-1)), np.exp(-0.5 * dz * dz)
+        return self.at(kx, ky, self.center[2]), np.exp(-0.5 * dz * dz)
 
     def box(self):
         """Ten widths either side of the center: the amplitude is below e^-50 outside."""
@@ -105,27 +140,7 @@ class TransformedPacket:
         if not self.chain:
             raise ValueError("TransformedPacket requires a nonempty action chain")
 
-    def amplitude(self, K: Array) -> Array:
-        K_cur = np.asarray(K, dtype=float)
-        phase = np.zeros(K_cur.shape[:-1])
-        factor = None
-        for g in self.chain:
-            pv = g.phase_vector()
-            if pv is not None and np.any(pv):
-                phase = phase + K_cur @ pv
-            K_next = g.inverse_momentum_map(K_cur)
-            if g.involves_boost:  # boosts act on the massless field only
-                w_prev = omega_of(K_cur, 0.0)
-                w_next = omega_of(K_next, 0.0)
-                ratio = np.where(w_prev > 0.0, w_next / np.maximum(w_prev, 1e-300), 1.0)
-                factor = np.sqrt(ratio) if factor is None else factor * np.sqrt(ratio)
-            K_cur = K_next
-        out = self.base.amplitude(K_cur) * np.exp(1j * phase)
-        if factor is not None:
-            out = out * factor
-        return out
-
-    def z_factors(self, Kxy: Array, kz: Array):
+    def z_factors(self, kx, ky, kz):
         """The amplitude as X(k_x, k_y) * Z(k_z), for a chain without boosts.
 
         Rotations about z and unboosted BHP elements leave k_z fixed, so each
@@ -134,18 +149,13 @@ class TransformedPacket:
         """
         if self.has_boost:
             raise ValueError("a boosted term does not factorise into xy and k_z parts")
-        # the chain acts on (k_x, k_y, 0), so K_cur @ pv is the xy phase alone
-        K_cur = np.concatenate([Kxy, np.zeros(Kxy.shape[:-1] + (1,))], axis=-1)
-        phase = np.zeros(K_cur.shape[:-1])
-        beta = 0.0
-        for g in self.chain:
-            pv = g.phase_vector()
-            if pv is not None:
-                phase = phase + K_cur @ pv
-                beta += pv[2]
-            K_cur = g.inverse_momentum_map(K_cur)
-        x, z = self.base.z_factors(K_cur[..., :2], kz)
-        return x * np.exp(1j * phase), z * np.exp(1j * beta * np.asarray(kz))
+        # the chain acts on (k_x, k_y, 0), so its phase is the xy phase alone
+        qx, qy, _, factor = map_chain(self.chain, kx, ky, 0.0)
+        beta = sum(pv[2] for pv in (g.phase_vector() for g in self.chain) if pv is not None)
+        x, z = self.base.z_factors(qx, qy, kz)
+        if factor is not None:
+            x = x * factor
+        return x, z * np.exp(1j * beta * np.asarray(kz))
 
     def box(self):
         lo, hi = self.base.box()
@@ -172,6 +182,8 @@ class FieldVector:
 
     mass: float
     terms: tuple = field(default_factory=tuple)
+    # the base packets of the terms, grouped by action chain in first-seen order
+    by_chain: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mass", float(self.mass))
@@ -180,12 +192,27 @@ class FieldVector:
             raise ValueError("mass must be finite and nonnegative")
         if self.mass != 0.0 and self.has_boost:
             raise MassMismatchError("boosts are implemented for the massless theory only")
+        groups = {}
+        for t in self.terms:
+            groups.setdefault(t.chain, []).append(t.base)
+        object.__setattr__(self, "by_chain", tuple((c, tuple(b)) for c, b in groups.items()))
 
     def amplitude(self, K: Array) -> Array:
+        """a(k) for stacked momenta K of shape (..., 3); the result has shape (...).
+
+        Each distinct action chain maps the components of K once; the base
+        Gaussians behind it are summed at the mapped momenta and only then
+        multiplied by the chain's phase and frequency factor.
+        """
         K = np.asarray(K, dtype=float)
+        kx, ky, kz = K[..., 0], K[..., 1], K[..., 2]
         out = np.zeros(K.shape[:-1], dtype=complex)
-        for t in self.terms:
-            out = out + t.amplitude(K)
+        for chain, bases in self.by_chain:
+            qx, qy, qz, factor = map_chain(chain, kx, ky, kz)
+            part = bases[0].at(qx, qy, qz)
+            for b in bases[1:]:
+                part = part + b.at(qx, qy, qz)
+            out = out + (part if factor is None else part * factor)
         return out
 
     @property
@@ -241,14 +268,34 @@ class FieldVector:
         Fields with this property form the subspace on which the group
         average of the field itself converges; the n = 0 projection of
         anything else diverges logarithmically in the boost cutoff.
+
+        When every term is untransformed or translation-only, the test is
+        exact: on the line each term is its coefficient times
+        exp(-c_x^2 / 2 w_x^2 - c_z^2 / 2 w_z^2) times a Gaussian in k_y, and
+        Gaussians with distinct (c_y, w_y) are linearly independent, so the
+        line vanishes exactly when each (c_y, w_y) group's weighted
+        coefficients cancel.  Rotated or boosted terms are sampled at 257
+        points along the line instead.
         """
         scale = sum(abs(t.base.coeff) for t in self.terms)
         if scale == 0.0:
             return True
+        if all(_translation_only(t) for t in self.terms):
+            sums = {}
+            for t in self.terms:
+                (cx, cy, cz), (wx, wy, wz) = t.base.center, t.base.width
+                weight = np.exp(-0.5 * (cx / wx) ** 2 - 0.5 * (cz / wz) ** 2)
+                sums[cy, wy] = sums.get((cy, wy), 0.0) + t.base.coeff * weight
+            return max(abs(v) for v in sums.values()) <= 1e-10 * scale
         lo, hi = self.support_box()
         ky = np.linspace(lo[1] - 1.0, hi[1] + 1.0, 257)
         K = np.stack([np.zeros_like(ky), ky, np.zeros_like(ky)], axis=-1)
         return float(np.max(np.abs(self.amplitude(K)))) <= 1e-10 * scale
+
+
+def _translation_only(term) -> bool:
+    """No rotation and no boost in the chain, so the term is its base on k_x = k_z = 0."""
+    return not term.has_boost and all(g.phase_vector() is not None for g in term.chain)
 
 
 def add(f1: FieldVector, f2: FieldVector) -> FieldVector:
@@ -352,7 +399,7 @@ def zero_mode_slice(f: FieldVector):
     """
     parts = []
     for t in f.terms:
-        if t.has_boost or any(g.phase_vector() is None for g in t.chain):
+        if not _translation_only(t):
             raise ValueError("zero-mode slice needs untransformed or translation-only terms")
         # translation phases vanish on the k_x = k_z = 0 line
         parts.append((t.base.center, t.base.width, t.base.coeff))

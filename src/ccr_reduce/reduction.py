@@ -113,10 +113,10 @@ class AxisymmetricAmplitude:
         kappa = np.asarray(kappa_nodes, dtype=float)
         kz = np.asarray(kz_nodes, dtype=float)
         beta = 2.0 * np.pi * np.arange(self.n_angle) / self.n_angle
-        ring = kappa[..., None, None] * np.stack([np.cos(beta), np.sin(beta)], axis=-1)
+        ring_x, ring_y = kappa[..., None] * np.cos(beta), kappa[..., None] * np.sin(beta)
         out = np.zeros(kappa.shape + kz.shape, dtype=complex)
         for t in self.source.terms:
-            x, z = t.z_factors(ring, kz)
+            x, z = t.z_factors(ring_x, ring_y, kz)
             out = out + np.multiply.outer(np.mean(x, axis=-1), z)
         out = np.sqrt(kappa).reshape(kappa.shape + (1,) * kz.ndim) * out
         return complex(out) if out.ndim == 0 else out
