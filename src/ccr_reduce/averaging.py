@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ZeroModeDivergenceError
-from .forms import FormValue, _affine_pair, _ball_bform, _closed_pair, _tail_radius
+from .forms import FormValue, _affine_pair, _ball_bform, _closed_pair
 from .groups import (
     BHPElement,
     _rotation_matrix,
@@ -29,15 +29,15 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _refine,
-    adaptive_spherical,
     bounding_radius,
     box_intersection,
     gl_nodes,
     oscillatory_grid,
     spherical_grid,
 )
-from .reduction import ReducedSequence, ordered_ns, pair_sum, project_bhp
-from .specfun import cosh_phase_integral, hankel2_0
+from .reduction import (ReducedSequence, gowdy_from_sequence, gowdy_value, ordered_ns,
+                        pair_sum, project_bhp)
+from .specfun import cosh_phase_integral
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -180,10 +180,10 @@ def bhp_reduced_integrand(f1: FieldVector, f2: FieldVector, g: BHPElement,
     Evaluates int d^3q sqrt(w(Lq)/w(q)) conj(a1)(Lq) a2(q) exp(i theta_g(q))
     with L the forward momentum map of g: a change of variables away from
     the direct transformed-pair quadrature, hence an independent route to
-    the same number.  The ball is the smaller of the corner radius of the
-    support-box intersection and the radius from forms._tail_radius, with
-    |alpha| of g added to the rapidity of every f1 term, outside which the
-    closed-form bound on the integrand's |.|-mass is at most abs_tol / 100.
+    the same number.  forms._ball_bform integrates it in the corner radius
+    of the support-box intersection, with |alpha| of g added to the rapidity
+    of every f1 term for the tail radius, and the phase frequency
+    2 pi |n| + |beta| of g for the node counts.
     """
     if f1.mass != 0.0 or f2.mass != 0.0:
         raise ValueError("the reduced integrand applies to the massless theory")
@@ -200,24 +200,16 @@ def bhp_reduced_integrand(f1: FieldVector, f2: FieldVector, g: BHPElement,
         theta = g.phase_at(qx, qy, qz)
         return out if theta is None else out * np.exp(1j * theta)
 
-    box2 = f2.support_box()
     lo1, hi1 = f1.support_box()
     # pull the f1 box back through the inverse map to bound the support of Q
     grids = np.meshgrid(*[np.linspace(lo1[i], hi1[i], 7) for i in range(3)], indexing="ij")
     pts = g.inverse_momentum_map(np.stack(grids, axis=-1).reshape(-1, 3))
     box1_back = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
-    inter = box_intersection(box2, box1_back)
+    inter = box_intersection(f2.support_box(), box1_back)
     if inter is None:
         return FormValue(0.0 + 0.0j, 1e-15)
-    r_max, _ = _tail_radius(f1, f2, quad, bounding_radius(inter), boost=abs(g.alpha))
-    wmin = max(min(f1.min_width(), f2.min_width()), 1e-3)
-    freq = 2.0 * np.pi * abs(g.n) + abs(g.beta)
-    nr = int(np.clip(3.0 * r_max / wmin + 1.2 * freq * r_max / np.pi, 48, 320))
-    nang = int(np.clip(48 + 0.9 * freq * r_max / np.pi, 48, 240))
-    val, err = adaptive_spherical(integrand, r_max, quad,
-                                  base_counts=(nr, nang, 2 * nang),
-                                  max_counts=(380, 280, 560))
-    return FormValue(val, err)
+    return _ball_bform(integrand, f1, f2, quad, bounding_radius(inter), abs(g.alpha),
+                       2.0 * np.pi * abs(g.n) + abs(g.beta))
 
 
 # --- non-compact group: semi-analytic and reduced levels ----------------------
@@ -376,8 +368,9 @@ def average_field_bhp(f: FieldVector, tau: float, sigma: float,
                       sequence: Optional[ReducedSequence] = None) -> float:
     """Group-averaged field at (tau, sigma) on the reduced spacetime.
 
-    path "series": (1/(2 sqrt 2)) sum_{n != 0} A_n H0_2(|n| tau) e^{i n sigma}
-    plus its conjugate, with the series/asymptotic H0_2 and the adaptive A_n.
+    path "series": the Gowdy solution with a_n = A_n and no zero mode,
+    (1/(2 sqrt 2)) sum_{n != 0} A_n H0_2(|n| tau) e^{i n sigma} plus its
+    conjugate (reduction.gowdy_value), with the adaptive A_n.
     path "direct": per n, the boost integral of exp(i tau (k_y sinh a -
     w cosh a)) times a fixed Gauss-Legendre k_y quadrature of the slice.
     Centring the boost parameter at each k_y's stationary point turns the
@@ -395,12 +388,7 @@ def average_field_bhp(f: FieldVector, tau: float, sigma: float,
             "its group average diverges in the boost parameter")
     if path == "series":
         s = sequence if sequence is not None else project_bhp(f, quad)
-        acc = 0.0 + 0.0j
-        for n in ordered_ns(s.n_max):
-            if n == 0:
-                continue
-            acc += s.entries[n] * hankel2_0(abs(n) * tau) * np.exp(1j * n * sigma)
-        return float(acc.real / np.sqrt(2.0))
+        return gowdy_value(gowdy_from_sequence(s, zero_mode_choice=0), tau, sigma)
     if path != "direct":
         raise ValueError("path must be 'series' or 'direct'")
 

@@ -170,27 +170,29 @@ def _tail_radius(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig,
 
 
 def _ball_bform(integrand, f1: FieldVector, f2: FieldVector, quad: QuadratureConfig,
-                r_box: float) -> FormValue:
+                r_box: float, boost: float = 0.0, freq: float = 0.0) -> FormValue:
     """Spherical-grid integral of a product of f1 and f2 amplitudes over a ball.
 
     Boosts exist only for mass 0, and their frequency ratio is smooth in
     (r, cos theta, phi) though not at k = 0.  The radius is the smaller of
-    r_box, a bound on the support, and the radius from _tail_radius.
+    r_box and the radius from _tail_radius, with `boost` added to the
+    rapidity of every f1 term; the ladder is sized by the narrower field's
+    min_width and by freq, the frequency of a phase the integrand carries.
     """
-    wmin = max(min(f1.min_width(), f2.min_width()), 1e-3)
-    r_max, _ = _tail_radius(f1, f2, quad, r_box)
-    nr = int(np.clip(3.0 * r_max / wmin, 48, 240))
+    r_max, _ = _tail_radius(f1, f2, quad, r_box, boost)
     val, err = adaptive_spherical(integrand, r_max, quad,
-                                  base_counts=(nr, 48, 96),
-                                  max_counts=(300, 220, 440))
+                                  min(f1.min_width(), f2.min_width()), freq)
     return FormValue(val, err)
 
 
 def _numeric_bform(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig) -> FormValue:
-    """B(f1, f2) by _ball_bform in the corner radius of the support-box intersection."""
-    boxes1 = f1.term_boxes()
+    """B(f1, f2) by _ball_bform in the corner radius of the support-box intersection.
+
+    The ladder starts from the fields' widths alone; phases of translated
+    terms are left to its later levels.
+    """
     boxes2 = f2.term_boxes()
-    pieces = [box_intersection(b1, b2) for b1 in boxes1 for b2 in boxes2]
+    pieces = [box_intersection(b1, b2) for b1 in f1.term_boxes() for b2 in boxes2]
     pieces = [p for p in pieces if p is not None]
     if not pieces:
         return FormValue(0.0 + 0.0j, 1e-15)

@@ -344,12 +344,9 @@ def evaluate_field(f: FieldVector, t: float, x, quad: QuadratureConfig = DEFAULT
     if mass == 0.0 and np.all(lo < 0) and np.all(hi > 0):
         # 1/sqrt(w) endpoint at the origin: integrate on the spherical grid,
         # where r^2 dr absorbs it smoothly
-        val, err = adaptive_spherical(integrand, bounding_radius(box), quad)
+        val, err = adaptive_spherical(integrand, bounding_radius(box), quad, f.min_width())
     else:
-        extent = hi - lo
-        wmin = max(f.min_width(), 1e-3)
-        base = [int(np.clip(3.0 * extent[i] / wmin, 20, 72)) for i in range(3)]
-        val, err = adaptive_tensor3(integrand, box, quad, base_counts=base)
+        val, err = adaptive_tensor3(integrand, box, quad, f.min_width())
     return 2.0 * val.real, 2.0 * err
 
 

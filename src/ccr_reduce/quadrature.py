@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 # numpy loads its polynomial package lazily; importing the rule here keeps
@@ -67,7 +67,7 @@ def _refine(evaluate: Callable, levels: Iterable, cfg: QuadratureConfig, failure
     raise QuadratureError(failure)
 
 
-def _count_ladder(base_counts, caps, growth: float, floor: int):
+def _count_ladder(base, caps, growth: float, floor: int):
     """Node counts per axis for a 3D ladder, starting one step below base.
 
     The warmup level confirms convergence from below: with an engineered
@@ -77,13 +77,24 @@ def _count_ladder(base_counts, caps, growth: float, floor: int):
     refine that axis.
     """
     caps = np.asarray(caps, dtype=int)
-    counts = np.maximum((np.asarray(base_counts, dtype=int) / growth).astype(int), floor)
+    counts = np.maximum((np.asarray(base, dtype=int) / growth).astype(int), floor)
     while True:
         use = np.minimum(counts, caps)
         yield tuple(int(c) for c in use)
         if np.any(use >= caps):
             return
         counts = (counts * growth + 4).astype(int)
+
+
+# Node caps of the 3D ladders.  SHELL_CAPS (n_theta, n_phi) and TENSOR_CAP
+# bound the block one integrand call sees; the radial count only sets how
+# many shells are summed, so its cap sits RADIAL_STEPS growth steps above
+# its start, under RADIAL_CEILING.  Narrower widths count as _MIN_WIDTH.
+SHELL_CAPS = (280, 560)
+RADIAL_STEPS = 5
+RADIAL_CEILING = 1000
+TENSOR_CAP = 320
+_MIN_WIDTH = 1e-3
 
 
 @lru_cache(maxsize=128)
@@ -118,19 +129,17 @@ def tensor3_integral(fn: Callable[[Array], Array], box, counts) -> complex:
     return total
 
 
-def adaptive_tensor3(
-    fn: Callable[[Array], Array],
-    box,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    base_counts: Sequence[int] = (24, 24, 24),
-    max_count: int = 320,
-):
-    """Tensor GL integral with node-doubling error control.
+def adaptive_tensor3(fn: Callable[[Array], Array], box, cfg: QuadratureConfig, width: float):
+    """Tensor GL integral over a box, with node-growth error control.
 
-    Returns (value, error_estimate).  Raises QuadratureError when the
-    refinement ladder is exhausted before the tolerance is met.
+    width is the narrowest feature of fn: each axis starts at three nodes
+    per width of its extent, between 20 and 72, at least four growth steps
+    below TENSOR_CAP.  Returns (value, error_estimate).  Raises
+    QuadratureError when an axis reaches the cap before the tolerance is met.
     """
-    levels = _count_ladder(base_counts, (max_count,) * 3, 1.45, 8)
+    extent = np.subtract(box[1], box[0])
+    base = np.clip(3.0 * extent / max(width, _MIN_WIDTH), 20, 72).astype(int)
+    levels = _count_ladder(base, (TENSOR_CAP,) * 3, 1.45, 8)
     return _refine(lambda counts: tensor3_integral(fn, box, counts), levels, cfg,
                    "3D tensor quadrature did not converge below its node cap")
 
@@ -167,22 +176,25 @@ def spherical_integral(fn: Callable[[Array], Array], r_max: float, counts) -> co
     return total
 
 
-def adaptive_spherical(
-    fn: Callable[[Array], Array],
-    r_max: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    base_counts: Sequence[int] = (48, 32, 64),
-    max_counts: Sequence[int] = (280, 200, 400),
-):
-    """Spherical-grid integral over the ball |k| <= r_max with node doubling.
+def adaptive_spherical(fn: Callable[[Array], Array], r_max: float, cfg: QuadratureConfig,
+                       width: float, freq: float = 0.0):
+    """Spherical-grid integral over the ball |k| <= r_max with node growth.
 
     The grid is Gauss-Legendre in radius and cos(theta) and trapezoidal in
     azimuth, which is spectrally accurate for integrands smooth in
     (radius, direction) even when they are not smooth at k = 0 in Cartesian
-    coordinates.  Returns (value, error_estimate); raises QuadratureError
-    when the ladder reaches a cap before the tolerance is met.
+    coordinates.  width is the integrand's narrowest feature and freq the
+    frequency of a phase exp(i q.k) it carries: the radial start is
+    3 r_max / width + 1.2 freq r_max / pi, at least 48, and the polar start
+    48 + 0.9 freq r_max / pi, kept three growth steps below SHELL_CAPS, with
+    twice as many azimuths.  Returns (value, error_estimate); raises
+    QuadratureError when the ladder reaches a cap before the tolerance is met.
     """
-    levels = _count_ladder(base_counts, max_counts, 1.4, 12)
+    growth = 1.4
+    nr = max(int(3.0 * r_max / max(width, _MIN_WIDTH) + 1.2 * freq * r_max / np.pi), 48)
+    nang = int(min(48 + 0.9 * freq * r_max / np.pi, SHELL_CAPS[0] / growth**3))
+    caps = (min(int(nr * growth**RADIAL_STEPS), RADIAL_CEILING), *SHELL_CAPS)
+    levels = _count_ladder((nr, nang, 2 * nang), caps, growth, 12)
     return _refine(lambda counts: spherical_integral(fn, r_max, counts), levels, cfg,
                    "spherical quadrature did not converge below its node caps")
 

@@ -28,7 +28,7 @@ from ccr_reduce import (
     substitution_check,
     zero_mode_divergence_probe,
 )
-from ccr_reduce import averaging, forms
+from ccr_reduce import forms, quadrature
 from ccr_reduce.corpus import generate_corpus, load_corpus
 from ccr_reduce.errors import MassMismatchError, QuadratureError
 from ccr_reduce.modes import omega_of
@@ -106,8 +106,13 @@ class TestRefinementLadders:
             return np.exp(40j * K[..., 0]) * np.exp(-np.sum(K * K, axis=-1) / 0.02)
 
         box = (np.full(3, -1.0), np.full(3, 1.0))
-        with pytest.raises(QuadratureError):
-            adaptive_tensor3(fn, box, QuadratureConfig(), max_count=24)
+        # the Gaussian tails beyond the box are below e^-50
+        exact = (0.02 * np.pi) ** 1.5 * np.exp(-8.0)
+        value, _ = adaptive_tensor3(fn, box, QuadratureConfig(), 0.1)
+        assert abs(value - exact) < 1e-8 * exact
+        with mock.patch.object(quadrature, "TENSOR_CAP", 24):
+            with pytest.raises(QuadratureError):
+                adaptive_tensor3(fn, box, QuadratureConfig(), 0.1)
 
     def test_spherical_capped_axis_raises(self):
         b = 0.9
@@ -118,13 +123,11 @@ class TestRefinementLadders:
 
         # radial and polar rules converge; only the azimuth is hard
         exact = np.sqrt(np.pi) / 4.0 * 2.0 * 2.0 * np.pi / np.sqrt(1.0 - b * b)
-        value, _ = adaptive_spherical(fn, 6.0, QuadratureConfig(),
-                                      base_counts=(24, 16, 16),
-                                      max_counts=(200, 200, 400))
+        value, _ = adaptive_spherical(fn, 6.0, QuadratureConfig(), 0.7)
         assert abs(value - exact) < 1e-8 * exact
-        with pytest.raises(QuadratureError):
-            adaptive_spherical(fn, 6.0, QuadratureConfig(), base_counts=(24, 16, 16),
-                               max_counts=(200, 200, 16))
+        with mock.patch.object(quadrature, "SHELL_CAPS", (280, 16)):
+            with pytest.raises(QuadratureError):
+                adaptive_spherical(fn, 6.0, QuadratureConfig(), 0.7)
 
 
 def whole_grid_integral(fn, r_max, counts):
@@ -204,10 +207,10 @@ tail_fields = st.builds(lambda terms: FieldVector(0.0, tuple(terms)),
 CENTRED = FieldVector(0.0, (GaussianPacket([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1.0),))
 
 
-def check_tail_radius(module, route, integrand_abs, f1, f2, quad):
+def check_tail_radius(route, integrand_abs, f1, f2, quad):
     """The tail-bounded ball against the corner-radius ball, for one route.
 
-    The full ball is `route` with `module._tail_radius` replaced by the
+    The full ball is `route` with `forms._tail_radius` replaced by the
     identity on its radius; the closed-form tail at the shrunk radius must
     bound the brute-force |integrand| mass between the two radii, for
     several targets, and both balls must give the same value wherever the
@@ -219,12 +222,13 @@ def check_tail_radius(module, route, integrand_abs, f1, f2, quad):
         seen.append((r_max, boost))
         return r_max, np.inf
 
-    with mock.patch.object(module, "_tail_radius", full_ball):
+    with mock.patch.object(forms, "_tail_radius", full_ball):
         try:
             full = route(quad).value
         except QuadratureError:  # the full ball's radial count hit its cap
             full = None
-    if not seen:  # disjoint supports: no ball at all
+    if not seen:  # disjoint supports: no ball at all, and an exact zero
+        assert full == 0.0
         return
     (r_box, boost), = seen
     for abs_tol in (1e-4, 1e-8, quad.abs_tol):
@@ -247,7 +251,7 @@ class TestTailRadius:
             return np.abs(f1.amplitude(K)) * np.abs(f2.amplitude(K))
 
         quad = QuadratureConfig()
-        check_tail_radius(forms, lambda q: forms._numeric_bform(f1, f2, q),
+        check_tail_radius(lambda q: forms._numeric_bform(f1, f2, q),
                           integrand_abs, f1, f2, quad)
 
     @given(f1=tail_fields, f2=tail_fields, g=bhp_elements)
@@ -260,7 +264,7 @@ class TestTailRadius:
             return np.sqrt(ratio) * np.abs(f1.amplitude(Qf)) * np.abs(f2.amplitude(Q))
 
         quad = QuadratureConfig()
-        check_tail_radius(averaging, lambda q: bhp_reduced_integrand(f1, f2, g, q),
+        check_tail_radius(lambda q: bhp_reduced_integrand(f1, f2, g, q),
                           integrand_abs, f1, f2, quad)
 
     def test_reduced_integrand_zero_field(self, rng, quad_bhp):
@@ -281,13 +285,14 @@ class TestTailRadius:
         g = BHPElement(1, 0.0, 0.0)
         quad = QuadratureConfig(n_max=8)
         radii = []
+        tail_radius = forms._tail_radius
 
         def spy(f1, f2, quad, r_max, boost=0.0):
-            R, bound = forms._tail_radius(f1, f2, quad, r_max, boost)
+            R, bound = tail_radius(f1, f2, quad, r_max, boost)
             radii.append((r_max, R))
             return R, bound
 
-        with mock.patch.object(averaging, "_tail_radius", spy):
+        with mock.patch.object(forms, "_tail_radius", spy):
             reduced = bhp_reduced_integrand(f1, f2, g, quad).value
         closed = bform(f1, apply_group(g, f2), quad).value
         assert abs(reduced - closed) <= 1e-9 * abs(closed)

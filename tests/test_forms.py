@@ -10,6 +10,7 @@ from ccr_reduce import (
     WeylWord,
     add,
     apply_A,
+    apply_group,
     bform,
     commutator_check,
     mu,
@@ -62,6 +63,18 @@ class TestBform:
         f2 = random_field(rng, width_range=(0.8, 1.2))
         oracle = riemann_bform_oracle(f1, f2)
         assert bform(f1, f2, quad).value == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("w", [0.15, 0.12])
+    def test_narrow_boosted_pair_meets_closed_form(self, w, quad):
+        # boost invariance: the spherical ladder of the boosted pair must
+        # reach the closed form of the unboosted one; a radial start close
+        # to the radial cap used to end this ladder after three levels
+        f1 = FieldVector(0.0, (GaussianPacket([0.4, 1.0, 2.0], [w, 1.3 * w, w], 1.0),))
+        f2 = FieldVector(0.0, (GaussianPacket([0.3, 1.2, 1.8], [1.2 * w, w, w], 0.5 + 0.5j),))
+        g = BHPElement(0, 0.9, 0)
+        closed = bform(f1, f2, quad).value
+        boosted = bform(apply_group(g, f1), apply_group(g, f2), quad).value
+        assert abs(boosted - closed) <= 1e-10 * abs(closed)
 
     def test_real_bilinearity_sampled(self, rng, quad):
         f1, f2, f3 = (random_field(rng) for _ in range(3))

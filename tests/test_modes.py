@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import roots_legendre
 
 from ccr_reduce import (
     FieldVector,
@@ -33,6 +34,29 @@ def riemann_field_oracle(f, t, x, n=140):
     integ = np.sqrt(1.0 / (2 * w * (2 * np.pi) ** 3)) * f.amplitude(K) \
         * np.exp(1j * (K @ np.asarray(x, float) - w * t))
     return 2.0 * float(np.real(np.sum(integ))) * cell
+
+
+def spherical_field_oracle(center, width, coeff, t, x, ns=120, nu=80, nphi=96):
+    """Massless mode integral of one Gaussian packet in spherical coordinates.
+
+    With r = s^2 the measure r^2 dr / sqrt(2 r) becomes sqrt(2) s^4 ds, so
+    the 1/sqrt(w) endpoint at k = 0 is smooth in s; the s and cos(theta)
+    rules are scipy's Gauss-Legendre nodes, the azimuth a trapezoid.
+    """
+    center, width = np.asarray(center, float), np.asarray(width, float)
+    half = 0.5 * np.sqrt(np.linalg.norm(center) + 10.0 * width.max())
+    s, ws = roots_legendre(ns)
+    s, ws = half * (s + 1.0), half * ws
+    u, wu = roots_legendre(nu)
+    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    S, U, P = np.meshgrid(s, u, phi, indexing="ij")
+    r, sin_t = S * S, np.sqrt(1.0 - U * U)
+    K = np.stack([r * sin_t * np.cos(P), r * sin_t * np.sin(P), r * U], axis=-1)
+    amp = coeff * np.exp(-0.5 * np.sum(((K - center) / width) ** 2, axis=-1))
+    integ = np.sqrt(2.0) * S**4 * (2 * np.pi) ** -1.5 * amp \
+        * np.exp(1j * (K @ np.asarray(x, float) - r * t))
+    W = ws[:, None, None] * wu[None, :, None] * (2.0 * np.pi / nphi)
+    return 2.0 * float(np.real(np.sum(W * integ)))
 
 
 class TestAmplitude:
@@ -160,6 +184,19 @@ class TestEvaluateField:
             lap += second(phi(0, -2 * e), phi(0, -e), center, phi(0, e), phi(0, 2 * e))
         residual = -d2t + lap - f.mass**2 * center
         assert abs(residual) < 1e-5
+
+
+    @pytest.mark.parametrize("t, x", [(0.0, [0.0, 0.0, 0.0]), (0.8, [0.3, -0.5, 0.2])])
+    def test_massless_spherical_branch(self, quad, t, x):
+        # the support box holds k = 0, so the spherical ladder integrates
+        # the 1/sqrt(|k|) endpoint
+        center, width, coeff = [0.3, -0.2, 0.4], [0.8, 1.0, 0.9], complex(0.7, 0.2)
+        f = FieldVector(0.0, (GaussianPacket(center, width, coeff),))
+        lo, hi = f.support_box()
+        assert np.all(lo < 0) and np.all(hi > 0)
+        val, err = evaluate_field(f, t, x, quad)
+        oracle = spherical_field_oracle(center, width, coeff, t, x)
+        assert abs(val - oracle) <= min(err, 1e-8 * abs(oracle))
 
 
 class TestSerialization:
