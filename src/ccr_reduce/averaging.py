@@ -200,12 +200,13 @@ def bhp_reduced_integrand(f1: FieldVector, f2: FieldVector, g: BHPElement,
         theta = g.phase_at(qx, qy, qz)
         return out if theta is None else out * np.exp(1j * theta)
 
+    box2 = f2.support_box()
     lo1, hi1 = f1.support_box()
     # pull the f1 box back through the inverse map to bound the support of Q
     grids = np.meshgrid(*[np.linspace(lo1[i], hi1[i], 7) for i in range(3)], indexing="ij")
     pts = g.inverse_momentum_map(np.stack(grids, axis=-1).reshape(-1, 3))
     box1_back = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
-    inter = box_intersection(f2.support_box(), box1_back)
+    inter = box_intersection(box2, box1_back)
     if inter is None:
         return FormValue(0.0 + 0.0j, 1e-15)
     return _ball_bform(integrand, f1, f2, quad, bounding_radius(inter), abs(g.alpha),

@@ -191,8 +191,9 @@ def _numeric_bform(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig) -> 
     The ladder starts from the fields' widths alone; phases of translated
     terms are left to its later levels.
     """
+    boxes1 = f1.term_boxes()
     boxes2 = f2.term_boxes()
-    pieces = [box_intersection(b1, b2) for b1 in f1.term_boxes() for b2 in boxes2]
+    pieces = [box_intersection(b1, b2) for b1 in boxes1 for b2 in boxes2]
     pieces = [p for p in pieces if p is not None]
     if not pieces:
         return FormValue(0.0 + 0.0j, 1e-15)

@@ -186,12 +186,14 @@ def adaptive_spherical(fn: Callable[[Array], Array], r_max: float, cfg: Quadratu
     coordinates.  width is the integrand's narrowest feature and freq the
     frequency of a phase exp(i q.k) it carries: the radial start is
     3 r_max / width + 1.2 freq r_max / pi, at least 48, and the polar start
-    48 + 0.9 freq r_max / pi, kept three growth steps below SHELL_CAPS, with
-    twice as many azimuths.  Returns (value, error_estimate); raises
-    QuadratureError when the ladder reaches a cap before the tolerance is met.
+    48 + 0.9 freq r_max / pi, with twice as many azimuths; both are kept
+    three growth steps below their caps.  Returns (value, error_estimate);
+    raises QuadratureError when the ladder reaches a cap before the
+    tolerance is met.
     """
     growth = 1.4
     nr = max(int(3.0 * r_max / max(width, _MIN_WIDTH) + 1.2 * freq * r_max / np.pi), 48)
+    nr = min(nr, int(RADIAL_CEILING / growth**3))
     nang = int(min(48 + 0.9 * freq * r_max / np.pi, SHELL_CAPS[0] / growth**3))
     caps = (min(int(nr * growth**RADIAL_STEPS), RADIAL_CEILING), *SHELL_CAPS)
     levels = _count_ladder((nr, nang, 2 * nang), caps, growth, 12)

@@ -110,12 +110,18 @@ class TestRefinementLadders:
         exact = (0.02 * np.pi) ** 1.5 * np.exp(-8.0)
         value, _ = adaptive_tensor3(fn, box, QuadratureConfig(), 0.1)
         assert abs(value - exact) < 1e-8 * exact
-        with mock.patch.object(quadrature, "TENSOR_CAP", 24):
+        # the ladder starts at 41 nodes per axis; a cap of 50 ends it after
+        # a second level that still differs from the first by 60%
+        with mock.patch.object(quadrature, "TENSOR_CAP", 50), \
+                mock.patch.object(quadrature, "tensor3_integral",
+                                  wraps=quadrature.tensor3_integral) as spy:
             with pytest.raises(QuadratureError):
                 adaptive_tensor3(fn, box, QuadratureConfig(), 0.1)
+        assert [c.args[2] for c in spy.call_args_list] == [(41, 41, 41), (50, 50, 50)]
 
     def test_spherical_capped_axis_raises(self):
-        b = 0.9
+        # the trapezoid error in azimuth falls like 0.87^n_phi
+        b = 0.99
 
         def fn(K):
             phi = np.arctan2(K[..., 1], K[..., 0])
@@ -125,9 +131,13 @@ class TestRefinementLadders:
         exact = np.sqrt(np.pi) / 4.0 * 2.0 * 2.0 * np.pi / np.sqrt(1.0 - b * b)
         value, _ = adaptive_spherical(fn, 6.0, QuadratureConfig(), 0.7)
         assert abs(value - exact) < 1e-8 * exact
-        with mock.patch.object(quadrature, "SHELL_CAPS", (280, 16)):
+        # azimuths 68 and then 80 at the cap: they differ by about 1e-4
+        with mock.patch.object(quadrature, "SHELL_CAPS", (280, 80)), \
+                mock.patch.object(quadrature, "spherical_integral",
+                                  wraps=quadrature.spherical_integral) as spy:
             with pytest.raises(QuadratureError):
                 adaptive_spherical(fn, 6.0, QuadratureConfig(), 0.7)
+        assert [c.args[2] for c in spy.call_args_list] == [(34, 34, 68), (51, 51, 80)]
 
 
 def whole_grid_integral(fn, r_max, counts):

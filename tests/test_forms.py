@@ -64,12 +64,17 @@ class TestBform:
         oracle = riemann_bform_oracle(f1, f2)
         assert bform(f1, f2, quad).value == pytest.approx(oracle, rel=1e-9)
 
-    @pytest.mark.parametrize("w", [0.15, 0.12])
-    def test_narrow_boosted_pair_meets_closed_form(self, w, quad):
+    # a 0.005-wide term that meets no f2 term sets the narrowest width:
+    # 3 r / w is then about 6400 shells, far above the radial ceiling
+    NARROW_TERM = GaussianPacket([-2.0, 0.0, 0.5], [0.005] * 3, 1.0)
+
+    @pytest.mark.parametrize("w, extra", [(0.15, ()), (0.12, ()), (0.3, (NARROW_TERM,))],
+                             ids=["0.15", "0.12", "0.3-narrow-term"])
+    def test_narrow_boosted_pair_meets_closed_form(self, w, extra, quad):
         # boost invariance: the spherical ladder of the boosted pair must
         # reach the closed form of the unboosted one; a radial start close
-        # to the radial cap used to end this ladder after three levels
-        f1 = FieldVector(0.0, (GaussianPacket([0.4, 1.0, 2.0], [w, 1.3 * w, w], 1.0),))
+        # to the radial cap, or at it, used to end this ladder early
+        f1 = FieldVector(0.0, (GaussianPacket([0.4, 1.0, 2.0], [w, 1.3 * w, w], 1.0),) + extra)
         f2 = FieldVector(0.0, (GaussianPacket([0.3, 1.2, 1.8], [1.2 * w, w, w], 0.5 + 0.5j),))
         g = BHPElement(0, 0.9, 0)
         closed = bform(f1, f2, quad).value
