@@ -26,9 +26,11 @@ from .groups import (
 )
 from .modes import FieldVector, momentum_norm, zero_mode_slice
 from .quadrature import (
+    _MIN_WIDTH,
     DEFAULT_CONFIG,
     QuadratureConfig,
     _refine,
+    adaptive_gl,
     bounding_radius,
     box_intersection,
     gl_nodes,
@@ -215,8 +217,8 @@ def bhp_reduced_integrand(f1: FieldVector, f2: FieldVector, g: BHPElement,
 
 # --- non-compact group: semi-analytic and reduced levels ----------------------
 
-def _slice_grid(f: FieldVector, n: int, nodes: np.ndarray) -> np.ndarray:
-    K = np.stack([np.full_like(nodes, float(n)), nodes, np.zeros_like(nodes)], axis=-1)
+def _slice_grid(f: FieldVector, n, nodes: np.ndarray) -> np.ndarray:
+    K = np.stack(np.broadcast_arrays(n, nodes, 0.0), axis=-1)
     return f.amplitude(K)
 
 
@@ -229,43 +231,39 @@ def average_bform_bhp_gave(f1: FieldVector, f2: FieldVector,
                                  / ((n^2+l^2)(n^2+k^2))^(1/4),
     where the n = 0 integrals use the k = u|u| substitution that removes the
     |k|^(-1/2) endpoint exactly.  The Gauss-Legendre double sum has rank one,
-    so it is evaluated as conj(sum w g1) * (sum w g2); each n refines over
-    node factors 1, 1.5 and 2.25 until two levels agree.
+    so it is evaluated as conj(sum w g1) * (sum w g2).  One array ladder
+    refines every n: a level puts the n = 0 row on a u rule and the other
+    rows on a k rule of the same count.
     """
     haar_scale = checked_haar_scale(haar_scale)
     lo1, hi1 = f1.support_box()
     lo2, hi2 = f2.support_box()
     k_lo = min(lo1[1], lo2[1]) - 0.5
     k_hi = max(hi1[1], hi2[1]) + 0.5
-    wmin = max(min(f1.min_width(), f2.min_width()), 1e-3)
+    u_hi = np.sqrt(max(abs(k_lo), abs(k_hi)))
+    ns = np.array(ordered_ns(quad.n_max), dtype=float)
+    # Deliberately not quadrature.gl_counts: freeing this rule's large rules
+    # (391 nodes on the seed-42 s0 corpus) raises glibc's mmap threshold, so
+    # a cold bhp-average run, whose boosted ladders follow, takes about 2.3k
+    # minor faults; with rules of 254 nodes at most it took 151k (CHANGES.md).
+    wmin = max(min(f1.min_width(), f2.min_width()), _MIN_WIDTH)
     n_nodes = int(np.clip(4.0 * (k_hi - k_lo) / wmin, 64, 480))
 
-    def term(n: int, factor: float) -> complex:
+    def level(factor: float) -> np.ndarray:
         m = int(n_nodes * factor)
-        if n == 0:
-            u_hi = np.sqrt(max(abs(k_lo), abs(k_hi)))
-            u, wu = gl_nodes(m, -u_hi, u_hi)
-            g1 = 2.0 * _slice_grid(f1, 0, u * np.abs(u))
-            g2 = 2.0 * _slice_grid(f2, 0, u * np.abs(u))
-        else:
-            k, wu = gl_nodes(m, k_lo, k_hi)
-            wgt = (n * n + k * k) ** -0.25
-            g1 = _slice_grid(f1, n, k) * wgt
-            g2 = _slice_grid(f2, n, k) * wgt
-        return complex(np.conj(np.sum(wu * g1)) * np.sum(wu * g2))
+        u, wu = gl_nodes(m, -u_hi, u_hi)
+        k, wk = gl_nodes(m, k_lo, k_hi)
+        nodes = np.vstack([u * np.abs(u), np.broadcast_to(k, (len(ns) - 1, m))])
+        wgt = np.vstack([2.0 * wu, wk * (ns[1:, None] ** 2 + k * k) ** -0.25])
+        g1, g2 = (np.sum(wgt * _slice_grid(f, ns[:, None], nodes), axis=1) for f in (f1, f2))
+        return np.conj(g1) * g2
 
-    total = 0.0 + 0.0j
-    err = 0.0
-    mags = {}
-    for n in ordered_ns(quad.n_max):
-        val, err_n = _refine(lambda factor: term(n, factor), (1.0, 1.5, 2.25), quad,
-                             f"per-n double quadrature did not converge at n = {n}")
-        total += val
-        err += err_n
-        mags[abs(n)] = max(mags.get(abs(n), 0.0), abs(val))
-    tail = _ratio_tail([mags[m] for m in sorted(mags)])
-    return AverageResult(haar_scale * 2.0 * np.pi * total,
-                         haar_scale * 2.0 * np.pi * err,
+    vals, err = _refine(level, (1.0, 1.5, 2.25), quad,
+                        "per-n double quadrature did not converge")
+    tail = _ratio_tail([np.max(np.abs(vals[np.abs(ns) == m])) for m in range(quad.n_max + 1)])
+    # every entry moved by at most err between the last two levels
+    return AverageResult(haar_scale * 2.0 * np.pi * complex(np.sum(vals)),
+                         haar_scale * 2.0 * np.pi * len(ns) * err,
                          haar_scale * 2.0 * np.pi * tail)
 
 
@@ -310,21 +308,21 @@ def _seq_scale(s: ReducedSequence) -> float:
 
 # --- delta-identity validation ------------------------------------------------
 
-def poisson_check(h: Callable[[float], float], n_max: int, u_cutoff: float):
+def poisson_check(h: Callable[[np.ndarray], np.ndarray], n_max: int, u_cutoff: float):
     """Truncated two-sided test of sum_n exp(2 pi i n x) = sum_m delta(x - m).
 
     lhs = integral over [-u_cutoff, u_cutoff] of h against the truncated
     exponential sum (one oscillatory quadrature per n); rhs = sum of h at the
-    integers inside the window.  For Schwartz-type h the two converge to the
-    same number as the truncations grow.
+    integers inside the window; h is called on arrays.  For Schwartz-type h
+    the two converge to the same number as the truncations grow.
     """
     x, w = oscillatory_grid(-u_cutoff, u_cutoff, 2.0 * np.pi * n_max)
-    hv = np.array([h(float(xx)) for xx in x])
+    hv = h(x)
     lhs = 0.0 + 0.0j
     for n in range(-int(n_max), int(n_max) + 1):
         lhs += complex(np.sum(w * hv * np.exp(2.0j * np.pi * n * x)))
     m_hi = int(np.floor(u_cutoff))
-    rhs = float(sum(h(float(m)) for m in range(-m_hi, m_hi + 1)))
+    rhs = float(np.sum(h(np.arange(-m_hi, m_hi + 1, dtype=float))))
     return lhs, rhs
 
 
@@ -336,8 +334,9 @@ def substitution_check(h: Callable[[np.ndarray], np.ndarray], support: float,
     sqrt(n^2 + l(alpha)^2); rhs integrates h directly over l.  `support`
     bounds where h is non-negligible so both sides can be truncated honestly.
     h is called on arrays of nodes.  Each side is a Gauss-Legendre ladder
-    (32 to 1024 nodes) that stops at rel_tol 1e-11 or abs_tol 1e-13 and
-    raises QuadratureError when it cannot.
+    (quadrature.adaptive_gl) sized for features of unit width, the scale of
+    the Gaussian h every caller passes; it stops at rel_tol 1e-11 or abs_tol
+    1e-13 and raises QuadratureError when it cannot.
     """
     w = float(np.hypot(n, ky))
     cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13)
@@ -346,13 +345,8 @@ def substitution_check(h: Callable[[np.ndarray], np.ndarray], support: float,
         return ky * np.cosh(a) - w * np.sinh(a)
 
     def integral(fn, a, b) -> float:
-        def level(m: int) -> float:
-            x, wx = gl_nodes(m, a, b)
-            return float(np.sum(wx * fn(x)))
-
-        value, _ = _refine(level, (32 * 2**i for i in range(6)), cfg,
-                           "substitution-check quadrature did not converge")
-        return value
+        return adaptive_gl(lambda x, wx: float(np.sum(wx * fn(x))), a, b, cfg, 1.0,
+                           "substitution-check quadrature did not converge")[0]
 
     # |l(alpha)| grows like exp(|alpha|); restrict to where h can contribute
     a_max = np.log(2.0 * (support + abs(ky) + w) / max(w - abs(ky), 1e-12)) + 1.0
@@ -373,11 +367,12 @@ def average_field_bhp(f: FieldVector, tau: float, sigma: float,
     (1/(2 sqrt 2)) sum_{n != 0} A_n H0_2(|n| tau) e^{i n sigma} plus its
     conjugate (reduction.gowdy_value), with the adaptive A_n.
     path "direct": per n, the boost integral of exp(i tau (k_y sinh a -
-    w cosh a)) times a fixed Gauss-Legendre k_y quadrature of the slice.
-    Centring the boost parameter at each k_y's stationary point turns the
-    phase into -|n| tau cosh, so the boost integral is one contour-damped
-    number per n.  Requires a field in the zero-mode-free subspace; anything
-    else has a divergent n = 0 average.
+    w cosh a)) times a k_y quadrature of the slice.  Centring the boost
+    parameter at each k_y's stationary point turns the phase into
+    -|n| tau cosh, so the boost integral is one contour-damped number per n.
+    One adaptive_gl ladder refines every n and raises QuadratureError when
+    it cannot meet the tolerance.  Requires a field in the zero-mode-free
+    subspace; anything else has a divergent n = 0 average.
     """
     if f.mass != 0.0:
         raise ValueError("field averaging applies to the massless theory")
@@ -394,25 +389,20 @@ def average_field_bhp(f: FieldVector, tau: float, sigma: float,
         raise ValueError("path must be 'series' or 'direct'")
 
     lo, hi = f.support_box()
-    k_lo, k_hi = float(lo[1]) - 0.5, float(hi[1]) + 0.5
-    wmin = max(f.min_width(), 1e-3)
-    n_nodes = int(np.clip(4.0 * (k_hi - k_lo) / wmin, 96, 420))
-    ky, wk = gl_nodes(n_nodes, k_lo, k_hi)
-    out = 0.0
-    prefac = 1.0 / (2.0 * np.sqrt(np.pi))
-    for n in ordered_ns(quad.n_max):
-        if n == 0:
-            continue
-        boost, _ = cosh_phase_integral(abs(n) * tau)
-        slice_sum = np.sum(wk * _slice_grid(f, n, ky) / np.sqrt(np.hypot(float(n), ky)))
-        t_n = prefac * complex(boost * slice_sum)
-        out += 2.0 * (t_n * np.exp(1j * n * sigma)).real
-    return float(out)
+    ns = np.array(ordered_ns(quad.n_max)[1:], dtype=float)[:, None]
+    boost = np.array([cosh_phase_integral(abs(n) * tau)[0] for n in ns[:, 0]])
+
+    def level(ky: np.ndarray, wk: np.ndarray) -> np.ndarray:
+        return boost * np.sum(wk * _slice_grid(f, ns, ky) / np.sqrt(np.hypot(ns, ky)), axis=1)
+
+    t, _ = adaptive_gl(level, float(lo[1]) - 0.5, float(hi[1]) + 0.5, quad, f.min_width(),
+                       "direct field-average quadrature did not converge")
+    # twice the real part of each term, over 2 sqrt(pi)
+    return float(np.sum((t * np.exp(1j * ns[:, 0] * sigma)).real)) / np.sqrt(np.pi)
 
 
-def zero_mode_divergence_probe(f: FieldVector, alpha_cutoffs: Sequence[float],
-                               tau: float = 1.0) -> list:
-    """Magnitude of the truncated n = 0 field average at growing boost cutoffs.
+def zero_mode_divergence_probe(f: FieldVector, alpha_cutoffs: Sequence[float]) -> list:
+    """Magnitude of the truncated n = 0 field average at tau = 1 at growing boost cutoffs.
 
     For a field with a(0, k_y, 0) != 0 the sequence grows without bound
     (asymptotically linearly in the cutoff); on the zero-mode-free subspace
@@ -448,8 +438,8 @@ def zero_mode_divergence_probe(f: FieldVector, alpha_cutoffs: Sequence[float],
         return out
 
     def h(alpha: np.ndarray) -> np.ndarray:
-        kp = K_of(tau * np.exp(-alpha), 1.0)
-        km = K_of(tau * np.exp(alpha), -1.0)
+        kp = K_of(np.exp(-alpha), 1.0)
+        km = K_of(np.exp(alpha), -1.0)
         return 2.0 * (c0 * (kp + km)).real
 
     chunk = 16  # alpha nodes per block: each temporary stays near 1 MB

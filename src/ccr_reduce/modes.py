@@ -283,9 +283,9 @@ class FieldVector:
         if all(_translation_only(t) for t in self.terms):
             sums = {}
             for t in self.terms:
-                (cx, cy, cz), (wx, wy, wz) = t.base.center, t.base.width
-                weight = np.exp(-0.5 * (cx / wx) ** 2 - 0.5 * (cz / wz) ** 2)
-                sums[cy, wy] = sums.get((cy, wy), 0.0) + t.base.coeff * weight
+                key = (t.base.center[1], t.base.width[1])
+                # the term's value at the center of its k_y Gaussian
+                sums[key] = sums.get(key, 0.0) + t.base.at(0.0, key[0], 0.0)
             return max(abs(v) for v in sums.values()) <= 1e-10 * scale
         lo, hi = self.support_box()
         ky = np.linspace(lo[1] - 1.0, hi[1] + 1.0, 257)
@@ -394,21 +394,12 @@ def zero_mode_slice(f: FieldVector):
     or rotated terms would drag the non-entire frequency into the slice, and
     raise ValueError.
     """
-    parts = []
-    for t in f.terms:
-        if not _translation_only(t):
-            raise ValueError("zero-mode slice needs untransformed or translation-only terms")
-        # translation phases vanish on the k_x = k_z = 0 line
-        parts.append((t.base.center, t.base.width, t.base.coeff))
+    if not all(_translation_only(t) for t in f.terms):
+        raise ValueError("zero-mode slice needs untransformed or translation-only terms")
+    # translation phases vanish on the k_x = k_z = 0 line
+    bases = [t.base for t in f.terms]
 
     def g(ky):
-        ky = np.asarray(ky)
-        out = np.zeros(ky.shape, dtype=complex)
-        for c, w, A in parts:
-            e = (-0.5 * ((0.0 - c[0]) / w[0]) ** 2
-                 - 0.5 * ((ky - c[1]) / w[1]) ** 2
-                 - 0.5 * ((0.0 - c[2]) / w[2]) ** 2)
-            out = out + A * np.exp(e)
-        return out
+        return sum((b.at(0.0, ky, 0.0) for b in bases), np.zeros(np.shape(ky), dtype=complex))
 
     return g

@@ -68,7 +68,7 @@ def _refine(evaluate: Callable, levels: Iterable, cfg: QuadratureConfig, failure
 
 
 def _count_ladder(base, caps, growth: float, floor: int):
-    """Node counts per axis for a 3D ladder, starting one step below base.
+    """Node counts per axis for a ladder, starting one step below base.
 
     The warmup level confirms convergence from below: with an engineered
     base the estimate usually settles without climbing past it.  Every axis
@@ -86,14 +86,16 @@ def _count_ladder(base, caps, growth: float, floor: int):
         counts = (counts * growth + 4).astype(int)
 
 
-# Node caps of the 3D ladders.  SHELL_CAPS (n_theta, n_phi) and TENSOR_CAP
+# Node caps of the ladders.  SHELL_CAPS (n_theta, n_phi) and TENSOR_CAP
 # bound the block one integrand call sees; the radial count only sets how
 # many shells are summed, so its cap sits RADIAL_STEPS growth steps above
-# its start, under RADIAL_CEILING.  Narrower widths count as _MIN_WIDTH.
+# its start, under RADIAL_CEILING.  GL_CAP caps every axis of the 1D and 2D
+# Gauss-Legendre ladders.  Narrower widths count as _MIN_WIDTH.
 SHELL_CAPS = (280, 560)
 RADIAL_STEPS = 5
 RADIAL_CEILING = 1000
 TENSOR_CAP = 320
+GL_CAP = 1024
 _MIN_WIDTH = 1e-3
 
 
@@ -107,6 +109,31 @@ def gl_nodes(n: int, a: float, b: float):
     x, w = _leggauss(n)
     half = 0.5 * (b - a)
     return half * x + 0.5 * (a + b), half * w
+
+
+def gl_counts(extents, width: float):
+    """Node counts per level of a Gauss-Legendre ladder over one or two axes.
+
+    width is the integrand's narrowest feature: each axis starts (after a
+    warmup level of at least 16 nodes) at three nodes per width of its
+    extent, at least three growth steps below GL_CAP, and grows by 1.4.
+    """
+    growth = 1.4
+    base = np.minimum(3.0 * np.asarray(extents, dtype=float) / max(width, _MIN_WIDTH),
+                      GL_CAP / growth**3)
+    return _count_ladder(base, (GL_CAP,) * base.size, growth, 16)
+
+
+def adaptive_gl(fn: Callable, a: float, b: float, cfg: QuadratureConfig, width: float,
+                failure: str):
+    """Gauss-Legendre integral over [a, b] on the ladder of gl_counts((b - a,), width).
+
+    fn(x, w) returns the weighted sum over one level's nodes and weights, a
+    number or an array judged in the max norm.  Returns (value, error
+    estimate); raises QuadratureError(failure) at GL_CAP.
+    """
+    return _refine(lambda counts: fn(*gl_nodes(counts[0], a, b)),
+                   gl_counts((b - a,), width), cfg, failure)
 
 
 def tensor3_integral(fn: Callable[[Array], Array], box, counts) -> complex:

@@ -18,7 +18,8 @@ from .errors import NonSymplecticError, ZeroModeUndefinedError
 from .forms import mu
 from .groups import checked_haar_scale
 from .modes import FieldVector
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _refine, gl_nodes
+from .quadrature import (DEFAULT_CONFIG, _MIN_WIDTH, QuadratureConfig, _refine, adaptive_gl,
+                         gl_counts, gl_nodes)
 from .specfun import hankel2_0
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -142,7 +143,7 @@ def project_axisymmetric(f: FieldVector) -> AxisymmetricAmplitude:
         raise ValueError("the axisymmetric projection needs boost-free terms")
     centers = f.term_centers()
     r_c = float(np.max(np.hypot(centers[:, 0], centers[:, 1]))) if len(centers) else 0.0
-    wmin = max(f.min_width(), 1e-3)
+    wmin = max(f.min_width(), _MIN_WIDTH)
     # a packet at xy-distance r subtends an angle ~ width / (r + 2 width)
     n_angle = int(np.clip(16.0 * (r_c + 2.0 * f.max_width()) / wmin, 64, 512))
     return AxisymmetricAmplitude(f, n_angle)
@@ -151,16 +152,14 @@ def project_axisymmetric(f: FieldVector) -> AxisymmetricAmplitude:
 def axisym_domain(amps: Sequence[AxisymmetricAmplitude]):
     """Common (kappa, k_z) quadrature domain for a family of projections.
 
-    Pinning one domain across a corpus lets the per-field grid caches serve
-    every pair of the Gram assembly.
+    Returns (kappa_max, kz_lo, kz_hi, narrowest packet width).  Pinning one
+    domain across a corpus lets the per-field grid caches serve every pair
+    of the Gram assembly.
     """
     kmax = max(a.kappa_max() for a in amps)
     zlo = min(a.kz_interval()[0] for a in amps)
     zhi = max(a.kz_interval()[1] for a in amps)
-    wmin = max(min(a.source.min_width() for a in amps), 1e-3)
-    nk = int(np.clip(3.0 * kmax / wmin, 32, 220))
-    nz = int(np.clip(3.0 * (zhi - zlo) / wmin, 32, 220))
-    return kmax, zlo, zhi, nk, nz
+    return kmax, zlo, zhi, min(a.source.min_width() for a in amps)
 
 
 def reduced_forms_axisym(A1: AxisymmetricAmplitude, A2: AxisymmetricAmplitude,
@@ -173,7 +172,7 @@ def reduced_forms_axisym(A1: AxisymmetricAmplitude, A2: AxisymmetricAmplitude,
     """
     if domain is None:
         domain = axisym_domain((A1, A2))
-    kmax, zlo, zhi, nk, nz = domain
+    kmax, zlo, zhi, width = domain
 
     def level(counts) -> complex:
         nk_, nz_ = counts
@@ -184,9 +183,8 @@ def reduced_forms_axisym(A1: AxisymmetricAmplitude, A2: AxisymmetricAmplitude,
         v2 = A2.grid_values(kap, kz, key)
         return 2.0 * np.pi * complex(np.sum(wk[:, None] * wz[None, :] * np.conj(v1) * v2))
 
-    levels = ((nk, nz), (int(nk * 1.4) + 4, int(nz * 1.4) + 4),
-              (int(nk * 2.0) + 8, int(nz * 2.0) + 8))
-    cur, _ = _refine(level, levels, quad, "axisymmetric reduced forms did not converge")
+    cur, _ = _refine(level, gl_counts((kmax, zhi - zlo), width), quad,
+                     "axisymmetric reduced forms did not converge")
     return -2.0 * cur.imag, cur.real
 
 
@@ -202,30 +200,24 @@ def project_bhp(f: FieldVector, quad: QuadratureConfig = DEFAULT_CONFIG) -> Redu
     n = 0 frequency ratio of a boosted term).  One Gauss-Legendre ladder in
     u yields every A_n at once, each level one amplitude evaluation on an
     (n_modes, 2m, 3) block.  A packet of width w at k_y = u^2 is about
-    w / (2u) wide in u, so the starting count scales with u_hi^2 over the
-    narrowest width.  The ladder has four levels 1.5 apart and starts at
-    32 * 1.5^j nodes (820 at most).  Tolerances apply to the largest
-    entry; a ladder that runs out of levels raises QuadratureError.
+    w / (2u) wide in u, so the ladder (quadrature.adaptive_gl) is sized by
+    the width min_width / (2 u_hi).  Tolerances apply to the largest
+    entry; a ladder that reaches its node cap raises QuadratureError.
     """
     if f.mass != 0.0:
         raise ValueError("the discrete reduction applies to the massless theory")
     ns = np.array(ordered_ns(quad.n_max), dtype=float)[:, None]
     lo, hi = f.support_box()
     u_hi = np.sqrt(max(abs(float(lo[1]) - 0.5), abs(float(hi[1]) + 0.5)))
-    # a packet at the far end of the interval needs 2 to 3 u_hi^2 / w nodes;
-    # rounding the start up to the 32 * 1.5^j ladder lets the fields of a
-    # corpus share cached rules
-    need = 2.0 * u_hi * u_hi / max(f.min_width(), 1e-3)
-    j0 = int(np.clip(np.ceil(np.log(need / 32.0) / np.log(1.5)), 0, 8))
 
-    def level(m: int) -> np.ndarray:
-        u, w = gl_nodes(m, 0.0, u_hi)
+    def level(u: np.ndarray, w: np.ndarray) -> np.ndarray:
         K = np.stack(np.broadcast_arrays(ns, np.concatenate([u * u, -u * u]), 0.0), axis=-1)
         a = f.amplitude(K)
+        m = len(u)
         return np.sum(2.0 * w * u * (ns * ns + u ** 4) ** -0.25 * (a[:, :m] + a[:, m:]), axis=1)
 
-    q_val, q_err = _refine(level, (int(32 * 1.5**j) for j in range(j0, j0 + 4)), quad,
-                           "mode-constant integral did not converge")
+    q_val, q_err = adaptive_gl(level, 0.0, u_hi, quad, f.min_width() / (2.0 * u_hi),
+                               "mode-constant integral did not converge")
     entries = {int(n): SQRT_2PI / 1j * v for n, v in zip(ns[:, 0], q_val)}
     return ReducedSequence(entries, f.is_zero_mode_free(), SQRT_2PI * q_err)
 

@@ -36,6 +36,7 @@ from ccr_reduce.quadrature import (
     QuadratureConfig,
     _leggauss,
     _refine,
+    adaptive_gl,
     adaptive_spherical,
     adaptive_tensor3,
     gl_nodes,
@@ -118,6 +119,21 @@ class TestRefinementLadders:
             with pytest.raises(QuadratureError):
                 adaptive_tensor3(fn, box, QuadratureConfig(), 0.1)
         assert [c.args[2] for c in spy.call_args_list] == [(41, 41, 41), (50, 50, 50)]
+
+    def test_gl_ladder_raises_at_its_cap(self):
+        def gauss(x, w):
+            return float(np.sum(w * np.exp(-0.5 * (x / 0.1) ** 2)))
+
+        value, _ = adaptive_gl(gauss, -2.0, 2.0, QuadratureConfig(), 0.1, "no convergence")
+        assert abs(value - 0.1 * np.sqrt(2.0 * np.pi)) < 1e-8 * value
+        # a width below the floor counts as 1e-3: the start is kept three
+        # steps below GL_CAP, so four levels run before the capped fifth,
+        # and cos(3000 x) needs about 2000 nodes: every level is off by 1e-2
+        with mock.patch.object(quadrature, "gl_nodes", wraps=quadrature.gl_nodes) as spy:
+            with pytest.raises(QuadratureError, match="no convergence"):
+                adaptive_gl(lambda x, w: float(np.sum(w * np.cos(3000.0 * x))), -1.0, 1.0,
+                            QuadratureConfig(), 1e-6, "no convergence")
+        assert [c.args[0] for c in spy.call_args_list] == [266, 376, 530, 746, 1024]
 
     def test_spherical_capped_axis_raises(self):
         # the trapezoid error in azimuth falls like 0.87^n_phi
@@ -636,6 +652,14 @@ class TestFieldAverage:
             series = average_field_bhp(f, tau, sigma, quad_bhp, path="series",
                                        sequence=seq)
             assert direct == pytest.approx(series, abs=1e-5)
+
+    def test_direct_path_raises_when_unconverged(self, rng):
+        # rel_tol 1e-16 is below what the k_y ladder can reach in double
+        # precision: the direct route must say so instead of returning
+        f = random_s0_field(rng)
+        with pytest.raises(QuadratureError):
+            average_field_bhp(f, 1.0, 0.4, QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300),
+                              path="direct")
 
     def test_periodicity(self, rng, quad_bhp):
         f = random_s0_field(rng)

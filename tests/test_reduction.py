@@ -29,7 +29,7 @@ from ccr_reduce import (
 )
 from ccr_reduce.corpus import generate_corpus, load_corpus
 from ccr_reduce.errors import QuadratureError
-from ccr_reduce.quadrature import gl_nodes
+from ccr_reduce.quadrature import gl_counts, gl_nodes
 from ccr_reduce.reduction import (
     AxisymmetricAmplitude,
     GowdySolution,
@@ -100,9 +100,11 @@ class TestProjectAxisymmetric:
         # the fixed n_angle has no error control: doubling it must not move A
         # on the finest grid of the seed-42 corpus
         amps = [project_axisymmetric(f) for f in load_corpus(generate_corpus(42, 6))]
-        kmax, zlo, zhi, nk, nz = axisym_domain(amps)
-        kap, _ = gl_nodes(int(nk * 2.0) + 8, 0.0, kmax)
-        kz, _ = gl_nodes(int(nz * 2.0) + 8, zlo, zhi)
+        kmax, zlo, zhi, width = axisym_domain(amps)
+        *_, (nk, nz) = gl_counts((kmax, zhi - zlo), width)
+        assert nk >= 342 and nz >= 448
+        kap, _ = gl_nodes(nk, 0.0, kmax)
+        kz, _ = gl_nodes(nz, zlo, zhi)
         for A in amps:
             vals = A.value(kap, kz)
             doubled = AxisymmetricAmplitude(A.source, 2 * A.n_angle).value(kap, kz)
