@@ -173,7 +173,10 @@ def _ball_bform(integrand, f1: FieldVector, f2: FieldVector, quad: QuadratureCon
                 r_box: float, boost: float = 0.0, freq: float = 0.0) -> FormValue:
     """Spherical-grid integral of a product of f1 and f2 amplitudes over a ball.
 
-    Boosts exist only for mass 0, and their frequency ratio is smooth in
+    integrand is the per-level factory of quadrature.adaptive_spherical:
+    given a level's unit directions it pulls each field's chains back once
+    (FieldVector.on_rays) and returns the integrand on the shell of radius
+    r.  Boosts exist only for mass 0, and their frequency ratio is smooth in
     (r, cos theta, phi) though not at k = 0.  The radius is the smaller of
     r_box and the radius from _tail_radius, with `boost` added to the
     rapidity of every f1 term; the ladder is sized by the narrower field's
@@ -200,8 +203,9 @@ def _numeric_bform(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig) -> 
     lo = np.min([p[0] for p in pieces], axis=0)
     hi = np.max([p[1] for p in pieces], axis=0)
 
-    def integrand(K):
-        return np.conj(f1.amplitude(K)) * f2.amplitude(K)
+    def integrand(D):
+        a1, a2 = f1.on_rays(D), f2.on_rays(D)
+        return lambda r: np.conj(a1(r)) * a2(r)
 
     return _ball_bform(integrand, f1, f2, quad, bounding_radius((lo, hi)))
 

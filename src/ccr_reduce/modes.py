@@ -36,16 +36,20 @@ def omega_of(K: Array, mass: float) -> Array:
     return momentum_norm(K[..., 0], K[..., 1], K[..., 2], mass)
 
 
-def map_chain(chain, kx, ky, kz):
+def pull_back_chain(chain, kx, ky, kz):
     """Pull the momenta (kx, ky, kz) back through an action chain.
 
     chain is ordered outermost-first, as in TransformedPacket.  Returns the
-    components of L_chain^-1 k, at which the base packets are evaluated,
-    and the factor exp(i theta) sqrt(w(L^-1 k) / w(k)) that multiplies them
-    (None when the chain has neither a phase nor a boost).  Every element adds its phase at the momentum
+    components of L_chain^-1 k, at which the base packets are evaluated, the
+    summed phase theta(k) and the root sqrt(w(L^-1 k) / w(k)) of the
+    frequency ratio; theta is None when no element has a phase, and the root
+    None when none boosts.  Every element adds its phase at the momentum
     it receives; |k| is computed once, at the first boost, and each boost
     hands its new |k| on, so the frequency ratios telescope to the last |k|
-    over the first (ratio 1 at k = 0, which every map fixes).
+    over the first (ratio 1 at k = 0, which every map fixes).  Every map and
+    |k| are homogeneous of degree one in k and every phase is linear, so on
+    a ray k = r d the pulled-back momentum and theta scale with r and the
+    root depends on d alone.
     """
     theta = None
     w0 = w = None
@@ -56,9 +60,22 @@ def map_chain(chain, kx, ky, kz):
         if w is None and g.involves_boost:
             w0 = w = momentum_norm(kx, ky, kz)
         kx, ky, kz, w = g.pull_back(kx, ky, kz, w)
-    factor = None if theta is None else np.exp(1j * theta)
+    root = None
     if w0 is not None:
         root = np.sqrt(np.where(w0 > 0.0, w / np.maximum(w0, 1e-300), 1.0))
+    return kx, ky, kz, theta, root
+
+
+def map_chain(chain, kx, ky, kz):
+    """pull_back_chain with its phase and root folded into one factor.
+
+    Returns the components of L_chain^-1 k and the factor
+    exp(i theta) sqrt(w(L^-1 k) / w(k)) that multiplies the base packets
+    there, None when the chain has neither a phase nor a boost.
+    """
+    kx, ky, kz, theta, root = pull_back_chain(chain, kx, ky, kz)
+    factor = None if theta is None else np.exp(1j * theta)
+    if root is not None:
         factor = root if factor is None else factor * root
     return kx, ky, kz, factor
 
@@ -215,6 +232,49 @@ class FieldVector:
             out = out + (part if factor is None else part * factor)
         return out
 
+    def on_rays(self, D: Array):
+        """The amplitude on the rays k = r D, as a function at(r) of the radius r > 0.
+
+        D has shape (..., 3) with nonzero rows, not necessarily unit; at(r)
+        returns a(r D), of shape D.shape[:-1].  Each distinct chain is pulled
+        back once, at D: on a ray its momentum and phase scale with r and its
+        frequency root does not move (pull_back_chain).  With
+        u = (L^-1 D) / width and v = center / width a base Gaussian is then
+        coeff exp(-|u|^2 (r - r0)^2 / 2 - B), where r0 = u.v / |u|^2 and
+        B = |v - r0 u|^2 / 2 >= 0, and the chain's phase is exp(i r theta(D)).
+        The completed square never puts more than the log of the root into
+        an exponent, so a narrow packet far from the origin cannot overflow
+        as the expanded exp(|v|^2 / 2) would.
+        """
+        D = np.asarray(D, dtype=float)
+        dx, dy, dz = D[..., 0], D[..., 1], D[..., 2]
+        rays = []
+        for chain, bases in self.by_chain:
+            qx, qy, qz, theta, root = pull_back_chain(chain, dx, dy, dz)
+            log_root = 0.0 if root is None else np.log(root)
+            gaussians = []
+            for b in bases:
+                (cx, cy, cz), (wx, wy, wz) = b.center, b.width
+                ux, uy, uz = qx / wx, qy / wy, qz / wz
+                uu = ux * ux + uy * uy + uz * uz
+                r0 = (ux * cx / wx + uy * cy / wy + uz * cz / wz) / uu
+                ex, ey, ez = cx / wx - r0 * ux, cy / wy - r0 * uy, cz / wz - r0 * uz
+                gaussians.append((b.coeff, 0.5 * uu, r0,
+                                  log_root - 0.5 * (ex * ex + ey * ey + ez * ez)))
+            rays.append((gaussians, theta))
+
+        def at(r: float) -> Array:
+            out = np.zeros(D.shape[:-1], dtype=complex)
+            for gaussians, theta in rays:
+                part = 0.0
+                for coeff, half_uu, r0, lead in gaussians:
+                    s = r - r0
+                    part = part + coeff * np.exp(lead - half_uu * s * s)
+                out = out + (part if theta is None else part * np.exp(1j * r * theta))
+            return out
+
+        return at
+
     @property
     def is_zero(self) -> bool:
         return len(self.terms) == 0
@@ -339,12 +399,17 @@ def evaluate_field(f: FieldVector, t: float, x, quad: QuadratureConfig = DEFAULT
             root = np.sqrt(0.5 / w)
         return norm * root * amp * np.exp(1j * phase)
 
+    def shells(D):
+        # massless: w = r on the unit rays, and the phase is r (D.x - t)
+        a, q = f.on_rays(D), D @ x - t
+        return lambda r: norm * np.sqrt(0.5 / r) * a(r) * np.exp(1j * r * q)
+
     box = f.support_box()
     lo, hi = box
     if mass == 0.0 and np.all(lo < 0) and np.all(hi > 0):
         # 1/sqrt(w) endpoint at the origin: integrate on the spherical grid,
         # where r^2 dr absorbs it smoothly
-        val, err = adaptive_spherical(integrand, bounding_radius(box), quad, f.min_width())
+        val, err = adaptive_spherical(shells, bounding_radius(box), quad, f.min_width())
     else:
         val, err = adaptive_tensor3(integrand, box, quad, f.min_width())
     return 2.0 * val.real, 2.0 * err

@@ -22,6 +22,9 @@ from numpy.polynomial.legendre import leggauss
 from .errors import QuadratureError
 
 Array = np.ndarray
+# a spherical integrand: called with a level's unit directions D, it returns
+# the integrand on the shell r D as a function of r
+ShellFactory = Callable[[Array], Callable[[float], Array]]
 
 
 @dataclass(frozen=True)
@@ -190,20 +193,25 @@ def spherical_grid(r_max: float, nr: int, ntheta: int, nphi: int):
     return r, wr * r * r, D, W
 
 
-def spherical_integral(fn: Callable[[Array], Array], r_max: float, counts) -> complex:
-    """Integral of fn over |k| <= r_max on the spherical grid with the given counts.
+def spherical_integral(fn: ShellFactory, r_max: float, counts) -> complex:
+    """Integral over |k| <= r_max on the spherical grid with the given counts.
 
-    fn is called once per radial shell with an (ntheta, nphi, 3) block.
+    fn is a per-level factory: it is called once, with the (ntheta, nphi, 3)
+    unit directions D, and returns shell(r), the integrand on the shell r D,
+    which is called once per radial node.  Integrands that pull momenta back
+    through homogeneous maps do that work once in fn (FieldVector.on_rays);
+    no (nr, ntheta, nphi, 3) array is ever built.
     """
     nr, nt, nphi = counts
     r, wr, D, W = spherical_grid(r_max, int(nr), int(nt), int(nphi))
+    shell = fn(D)
     total = 0.0 + 0.0j
     for ri, wi in zip(r, wr):
-        total += wi * complex(np.sum(W * fn(ri * D)))
+        total += wi * complex(np.sum(W * shell(ri)))
     return total
 
 
-def adaptive_spherical(fn: Callable[[Array], Array], r_max: float, cfg: QuadratureConfig,
+def adaptive_spherical(fn: ShellFactory, r_max: float, cfg: QuadratureConfig,
                        width: float, freq: float = 0.0):
     """Spherical-grid integral over the ball |k| <= r_max with node growth.
 
@@ -214,9 +222,10 @@ def adaptive_spherical(fn: Callable[[Array], Array], r_max: float, cfg: Quadratu
     frequency of a phase exp(i q.k) it carries: the radial start is
     3 r_max / width + 1.2 freq r_max / pi, at least 48, and the polar start
     48 + 0.9 freq r_max / pi, with twice as many azimuths; both are kept
-    three growth steps below their caps.  Returns (value, error_estimate);
-    raises QuadratureError when the ladder reaches a cap before the
-    tolerance is met.
+    three growth steps below their caps.  fn is the per-level factory of
+    spherical_integral, so it runs once per level of the ladder.  Returns
+    (value, error_estimate); raises QuadratureError when the ladder reaches
+    a cap before the tolerance is met.
     """
     growth = 1.4
     nr = max(int(3.0 * r_max / max(width, _MIN_WIDTH) + 1.2 * freq * r_max / np.pi), 48)

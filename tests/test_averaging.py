@@ -44,7 +44,7 @@ from ccr_reduce.quadrature import (
     spherical_integral,
 )
 
-from conftest import random_field, random_s0_field
+from conftest import random_field, random_s0_field, s0_field
 
 
 class TestQuadratureConfig:
@@ -145,15 +145,31 @@ class TestRefinementLadders:
 
         # radial and polar rules converge; only the azimuth is hard
         exact = np.sqrt(np.pi) / 4.0 * 2.0 * 2.0 * np.pi / np.sqrt(1.0 - b * b)
-        value, _ = adaptive_spherical(fn, 6.0, QuadratureConfig(), 0.7)
+        value, _ = adaptive_spherical(on_shells(fn), 6.0, QuadratureConfig(), 0.7)
         assert abs(value - exact) < 1e-8 * exact
         # azimuths 68 and then 80 at the cap: they differ by about 1e-4
+        levels = []
         with mock.patch.object(quadrature, "SHELL_CAPS", (280, 80)), \
                 mock.patch.object(quadrature, "spherical_integral",
                                   wraps=quadrature.spherical_integral) as spy:
             with pytest.raises(QuadratureError):
-                adaptive_spherical(fn, 6.0, QuadratureConfig(), 0.7)
+                adaptive_spherical(on_shells(fn, levels), 6.0, QuadratureConfig(), 0.7)
         assert [c.args[2] for c in spy.call_args_list] == [(34, 34, 68), (51, 51, 80)]
+        # the factory is called once per level, on that level's directions
+        assert levels == [(34, 68, 3), (51, 80, 3)]
+
+
+def on_shells(fn, levels=None):
+    """A pointwise integrand fn(K) as a spherical-grid factory: D -> (r -> fn(r D)).
+
+    levels, when given, records the shape of the directions of every call.
+    """
+    def factory(D):
+        if levels is not None:
+            levels.append(D.shape)
+        return lambda r: fn(r * D)
+
+    return factory
 
 
 def whole_grid_integral(fn, r_max, counts):
@@ -173,12 +189,14 @@ class TestSphericalShells:
     def test_one_shell_per_call_at_the_cap(self):
         # the bhp_reduced_integrand cap: a whole grid would need 1.4 GB for K
         shapes = []
+        levels = []
 
         def fn(K):
             shapes.append(K.shape)
             return np.zeros(K.shape[:-1])
 
-        assert spherical_integral(fn, 5.0, (380, 280, 560)) == 0.0
+        assert spherical_integral(on_shells(fn, levels), 5.0, (380, 280, 560)) == 0.0
+        assert levels == [(280, 560, 3)]
         assert len(shapes) == 380
         assert max(int(np.prod(sh[:-1])) for sh in shapes) <= 280 * 560
 
@@ -186,8 +204,11 @@ class TestSphericalShells:
         # integral over |k| <= R of k_x^2 + k_z^4 = 4 pi R^5 / 15 + 4 pi R^7 / 35
         R = 1.7
         exact = 4.0 * np.pi * R**5 / 15.0 + 4.0 * np.pi * R**7 / 35.0
-        value = spherical_integral(lambda K: K[..., 0] ** 2 + K[..., 2] ** 4, R, (6, 5, 8))
+        levels = []
+        value = spherical_integral(on_shells(lambda K: K[..., 0] ** 2 + K[..., 2] ** 4, levels),
+                                   R, (6, 5, 8))
         assert abs(value - exact) <= 1e-13 * exact
+        assert levels == [(5, 8, 3)]
 
     def test_matches_whole_grid_sum(self):
         def fn(K):
@@ -196,7 +217,9 @@ class TestSphericalShells:
 
         counts = (60, 40, 80)
         ref = whole_grid_integral(fn, 6.0, counts)
-        assert abs(spherical_integral(fn, 6.0, counts) - ref) <= 1e-14 * abs(ref)
+        levels = []
+        assert abs(spherical_integral(on_shells(fn, levels), 6.0, counts) - ref) <= 1e-14 * abs(ref)
+        assert levels == [(40, 80, 3)]
 
 
 bhp_elements = st.builds(BHPElement, st.integers(-1, 1), st.floats(-1.0, 1.0),
@@ -572,8 +595,6 @@ class TestBhpDirectLevel:
 
     @pytest.mark.slow
     def test_coarse_group_average_matches_reduced(self, quad_bhp):
-        from conftest import s0_field
-
         f1 = s0_field([1.0, -0.3, 0.4], [0.8, 0.9, 0.9], 0.9 + 0.4j)
         f2 = s0_field([0.7, 0.5, -0.3], [0.9, 0.8, 1.0], 0.6 - 0.7j)
         red = average_bform_bhp_reduced(f1, f2, quad_bhp)
@@ -624,6 +645,104 @@ class TestBhpReducedLevels:
         moved = average_bform_bhp_reduced(
             f1, apply_group(BHPElement(2, -0.5, 1.1), f2), quad_bhp).value
         assert moved == pytest.approx(base, rel=2e-6)
+
+
+def reduced_gram(route, fields):
+    """route(f_i, f_j) over every ordered pair, with the entries' error estimates."""
+    n = len(fields)
+    G, E = np.zeros((n, n), dtype=complex), np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            res = route(fields[i], fields[j])
+            G[i, j], E[i, j] = res.value, res.error_estimate
+    return G, E
+
+
+def check_reduced_state(G, E):
+    """B_G is a Hermitian positive semidefinite form, so its Gram matrix is one.
+
+    Each entry may be off by its error estimate: a perturbation E moves the
+    eigenvalues by at most its Frobenius norm (Weyl), and the diagonal by at
+    most its entries.  Beyond that only roundoff is allowed.  Checks the
+    Hermitian symmetry, the quasi-free bound |Omega_G| / 2 <= sqrt(mu_G,ii
+    mu_G,jj) of every pair, with Omega_G = -2 Im B_G and mu_G = Re B_G, and
+    the smallest eigenvalue.
+    """
+    roundoff = 1e-13 * float(np.max(np.abs(G)))
+    assert np.all(np.abs(G - G.conj().T) <= E + E.T + roundoff)
+    mu_diag = G.diagonal().real + E.diagonal()
+    for i in range(len(G)):
+        for j in range(len(G)):
+            half_omega = 0.5 * abs(-2.0 * G[i, j].imag)
+            assert half_omega <= np.sqrt(mu_diag[i] * mu_diag[j]) + E[i, j] + roundoff
+    lam = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
+    assert lam[0] >= -(np.linalg.norm(E) + roundoff)
+
+
+@st.composite
+def circle_triples(draw):
+    """Three boost-free fields of one mass; the third may be a combination of the others.
+
+    A dependent third field makes the Gram matrix singular, so its smallest
+    eigenvalue is zero and only roundoff and the entries' errors may move it.
+    """
+    mass = draw(st.sampled_from([0.0, 1.0]))
+    # no vanishing term, so that no example is the trivial zero matrix
+    terms = st.lists(circle_terms().filter(lambda t: abs(t.base.coeff) > 0.1),
+                     min_size=1, max_size=2)
+    f1, f2 = (FieldVector(mass, tuple(draw(terms))) for _ in range(2))
+    if draw(st.booleans()):
+        c = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+        f3 = add(f1, scale(f2, c))
+    else:
+        f3 = FieldVector(mass, tuple(draw(terms)))
+    return f1, f2, f3
+
+
+@st.composite
+def s0_triples(draw):
+    """Three zero-mode-free massless fields, each an s0 pair bare or behind a BHP element."""
+    def one():
+        center = [draw(st.floats(0.6, 1.8)), draw(st.floats(-2.0, 2.0)),
+                  draw(st.floats(-2.0, 2.0))]
+        coeff = draw(st.floats(0.2, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+        f = s0_field(center, [draw(st.floats(0.6, 1.1)) for _ in range(3)], coeff)
+        return apply_group(draw(bhp_elements), f) if draw(st.booleans()) else f
+
+    f1, f2 = one(), one()
+    if draw(st.booleans()):
+        c = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+        return f1, f2, add(f1, scale(f2, c))
+    return f1, f2, one()
+
+
+class TestReducedStateProperties:
+    """The reduced forms define a state: the property suite over random packets."""
+
+    @given(fields=circle_triples())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_circle_closed_form_route(self, fields):
+        quad = QuadratureConfig()
+        check_reduced_state(*reduced_gram(lambda a, b: average_bform_circle(a, b, quad),
+                                          fields))
+
+    @given(fields=s0_triples())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_bhp_reduced_route(self, fields):
+        quad = QuadratureConfig(n_max=6)
+        seqs = {id(f): project_bhp(f, quad) for f in fields}
+
+        def route(a, b):
+            return average_bform_bhp_reduced(a, b, quad, sequences=(seqs[id(a)], seqs[id(b)]))
+
+        check_reduced_state(*reduced_gram(route, fields))
+
+    @given(fields=s0_triples())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_bhp_gave_route(self, fields):
+        quad = QuadratureConfig(n_max=6)
+        check_reduced_state(*reduced_gram(lambda a, b: average_bform_bhp_gave(a, b, quad),
+                                          fields))
 
 
 class TestPoisson:

@@ -25,6 +25,7 @@ from ccr_reduce import (
     load_corpus,
 )
 from ccr_reduce import modes
+from ccr_reduce.quadrature import spherical_grid
 
 from conftest import s0_field
 
@@ -136,6 +137,58 @@ class TestChainKernel:
                                                                 [0.8, 0.9, 1.0], 0.6j))
         boosted.amplitude(K)
         assert calls == [(BHPElement(1, 0.5, 0.8),)]
+
+
+ray_elements = st.one_of(rotations, st.builds(BHPElement, st.integers(-1, 1),
+                                              st.floats(-1.5, 1.5), st.floats(-2.0, 2.0)))
+
+
+@st.composite
+def ray_fields(draw):
+    """One to three packets over one or two chains of up to three elements, some bare."""
+    chain_pool = [tuple(c) for c in draw(st.lists(st.lists(ray_elements, max_size=3),
+                                                  min_size=1, max_size=2))]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        chain = draw(st.sampled_from(chain_pool))
+        base = draw(packets)
+        terms.append(TransformedPacket(base, chain) if chain else base)
+    return FieldVector(0.0, tuple(terms))
+
+
+# the unit directions of a spherical-grid level, with one ray along +z
+_, _, GRID_RAYS, _ = spherical_grid(1.0, 1, 8, 12)
+RAYS = np.vstack([[[0.0, 0.0, 1.0]], GRID_RAYS.reshape(-1, 3)])
+
+
+def check_rays(f, D, r):
+    """on_rays(D)(r) against amplitude(r D), to 1e-12 of the summed term moduli.
+
+    The summed moduli are max|a| wherever the terms do not cancel.
+    """
+    got = f.on_rays(D)(r)
+    assert got.shape == D.shape[:-1]
+    size = np.max(sum(np.abs(FieldVector(0.0, (t,)).amplitude(r * D)) for t in f.terms))
+    assert np.max(np.abs(got - f.amplitude(r * D))) <= 1e-12 * size + 1e-300
+
+
+class TestRays:
+    @given(f=ray_fields(), r=st.floats(0.01, 12.0), stretch=st.floats(0.3, 3.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_amplitude_on_the_shell(self, f, r, stretch):
+        # stretched rays are not unit, as for the pushed-forward rays of
+        # the reduced integrand
+        check_rays(f, stretch * GRID_RAYS, r)
+
+    def test_narrow_packet_far_out(self):
+        # centre 4, width 0.1: |v|^2 / 2 = 800, so the expanded square would
+        # need exp(800); the completed square never exceeds the log of the root
+        base = GaussianPacket([0.0, 0.0, 4.0], [0.1, 0.1, 0.1], 1.0 - 0.5j)
+        f = FieldVector(0.0, (base, TransformedPacket(base, (BHPElement(1, 0.4, 0.8),))))
+        for r in (3.7, 3.95, 4.0, 4.02, 4.3):
+            check_rays(f, RAYS, r)
+        # on +z the bare packet peaks at r = 4
+        assert abs(FieldVector(0.0, (base,)).on_rays(RAYS)(4.0)[0] - base.coeff) <= 1e-15
 
 
 class TestZeroModeFree:
