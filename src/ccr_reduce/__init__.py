@@ -16,7 +16,6 @@ from .averaging import (
     average_bform_bhp_reduced,
     average_bform_circle,
     average_field_bhp,
-    average_form_circle,
     bhp_reduced_integrand,
     poisson_check,
     substitution_check,

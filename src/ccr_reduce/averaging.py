@@ -7,6 +7,12 @@ only), the semi-analytic form in which the discrete sum and the
 z-translation integral have been carried out as the delta-function
 identities they are, and the fully reduced sum over sequence entries.  The delta identities themselves are validated separately at small
 scale by poisson_check.
+
+The Haar measure of either group is fixed only up to a positive scale, and
+every average here is taken at unit scale: total mass one on the circle,
+counting measure times d(alpha) d(beta) on Z x R^2.  A scale c on Z x R^2
+is the map A_n -> sqrt(c) A_n of both reduced sequences
+(ReducedSequence.rescaled).
 """
 
 from __future__ import annotations
@@ -18,12 +24,7 @@ import numpy as np
 
 from .errors import ZeroModeDivergenceError
 from .forms import FormValue, _affine_pair, _ball_bform, _closed_pair
-from .groups import (
-    BHPElement,
-    _rotation_matrix,
-    apply_group,
-    checked_haar_scale,
-)
+from .groups import BHPElement, _rotation_matrix, apply_group
 from .modes import FieldVector, momentum_norm, zero_mode_slice
 from .quadrature import (
     _MIN_WIDTH,
@@ -62,9 +63,11 @@ class AverageResult:
 # --- compact group: S^1 -------------------------------------------------------
 
 def average_bform_circle(f1: FieldVector, f2: FieldVector,
-                         quad: QuadratureConfig = DEFAULT_CONFIG,
-                         haar_scale: float = 1.0) -> AverageResult:
-    """(haar_scale / 2 pi) * integral over the circle of B(f1, Phi_theta f2).
+                         quad: QuadratureConfig = DEFAULT_CONFIG) -> AverageResult:
+    """(1 / 2 pi) * integral over the circle of B(f1, Phi_theta f2).
+
+    mu_G is the real part of the value and Omega_G = -2 times its imaginary
+    part.
 
     Boost-free fields are folded once by forms._affine_of_term, and a batch
     of angles costs one stacked closed form per term pair, since rotating a
@@ -81,7 +84,6 @@ def average_bform_circle(f1: FieldVector, f2: FieldVector,
     the mean of a2 over each shell block's azimuth axis, on the smaller of
     the fields' support-box corner radii (a rotation keeps |k|).
     """
-    scale = checked_haar_scale(haar_scale)
     folded = _affine_pair(f1, f2)
     if folded is None:
         if f1.is_zero or f2.is_zero:
@@ -93,7 +95,7 @@ def average_bform_circle(f1: FieldVector, f2: FieldVector,
 
         r_box = min(bounding_radius(f1.support_box()), bounding_radius(f2.support_box()))
         form = _ball_bform(ring_mean_integrand, f1, f2, quad, r_box)
-        return AverageResult(scale * form.value, scale * form.error_estimate, 0.0)
+        return AverageResult(form.value, form.error_estimate, 0.0)
     aff1, aff2 = folded
 
     def node_sum(th) -> complex:
@@ -117,19 +119,7 @@ def average_bform_circle(f1: FieldVector, f2: FieldVector,
 
     cur, err = _refine(level, (16 * 2**i for i in range(9)), quad,  # 16 ... 4096
                        "circle average did not stabilize under node doubling")
-    return AverageResult(scale * cur, scale * err, 0.0)
-
-
-def average_form_circle(form: str, f1: FieldVector, f2: FieldVector,
-                        quad: QuadratureConfig = DEFAULT_CONFIG,
-                        haar_scale: float = 1.0) -> AverageResult:
-    """Averaged symplectic form or scalar product over the rotation group."""
-    if form not in ("omega", "mu"):
-        raise ValueError("form must be 'omega' or 'mu'")
-    avg = average_bform_circle(f1, f2, quad, haar_scale)
-    if form == "mu":
-        return AverageResult(avg.value.real, avg.error_estimate, avg.tail_bound)
-    return AverageResult(-2.0 * avg.value.imag, 2.0 * avg.error_estimate, avg.tail_bound)
+    return AverageResult(cur, err, 0.0)
 
 
 # --- non-compact group: product-grid level ------------------------------------
@@ -234,8 +224,7 @@ def _slice_grid(f: FieldVector, n, nodes: np.ndarray) -> np.ndarray:
 
 
 def average_bform_bhp_gave(f1: FieldVector, f2: FieldVector,
-                           quad: QuadratureConfig = DEFAULT_CONFIG,
-                           haar_scale: float = 1.0) -> AverageResult:
+                           quad: QuadratureConfig = DEFAULT_CONFIG) -> AverageResult:
     """Group average after the analytic delta reductions, per-n double quadrature.
 
     2 pi * sum_n  int dl int dk  conj(a1)(n,l,0) a2(n,k,0)
@@ -246,7 +235,6 @@ def average_bform_bhp_gave(f1: FieldVector, f2: FieldVector,
     refines every n: a level puts the n = 0 row on a u rule and the other
     rows on a k rule of the same count.
     """
-    haar_scale = checked_haar_scale(haar_scale)
     lo1, hi1 = f1.support_box()
     lo2, hi2 = f2.support_box()
     k_lo = min(lo1[1], lo2[1]) - 0.5
@@ -273,9 +261,8 @@ def average_bform_bhp_gave(f1: FieldVector, f2: FieldVector,
                         "per-n double quadrature did not converge")
     tail = _ratio_tail([np.max(np.abs(vals[np.abs(ns) == m])) for m in range(quad.n_max + 1)])
     # every entry moved by at most err between the last two levels
-    return AverageResult(haar_scale * 2.0 * np.pi * complex(np.sum(vals)),
-                         haar_scale * 2.0 * np.pi * len(ns) * err,
-                         haar_scale * 2.0 * np.pi * tail)
+    return AverageResult(2.0 * np.pi * complex(np.sum(vals)),
+                         2.0 * np.pi * len(ns) * err, 2.0 * np.pi * tail)
 
 
 def _ratio_tail(mags) -> float:
@@ -288,33 +275,23 @@ def _ratio_tail(mags) -> float:
     return mags[-1] * r / (1.0 - r)
 
 
-def average_bform_bhp_reduced(f1: FieldVector, f2: FieldVector,
-                              quad: QuadratureConfig = DEFAULT_CONFIG,
-                              haar_scale: float = 1.0,
-                              sequences: Optional[Tuple[ReducedSequence, ReducedSequence]] = None,
-                              ) -> AverageResult:
+def average_bform_bhp_reduced(s1: ReducedSequence, s2: ReducedSequence) -> AverageResult:
     """Group average as the sequence inner product sum of conj(A1_n) A2_n.
 
-    Rescaling the Haar measure by c multiplies the average by c; the same
-    effect is obtained by mapping both sequences through A_n -> sqrt(c) A_n.
+    Each entry of s_i is within e_i = s_i.error_estimate of its exact value,
+    so each of the N products conj(A1_n) A2_n is within e1 |A2_n| + e2 |A1_n|
+    + e1 e2 of its own, and the sum within e1 sum|A2_n| + e2 sum|A1_n|
+    + N e1 e2.
     """
-    haar_scale = checked_haar_scale(haar_scale)
-    if sequences is None:
-        s1 = project_bhp(f1, quad)
-        s2 = project_bhp(f2, quad)
-    else:
-        s1, s2 = sequences
-    value = haar_scale * pair_sum(s1, s2)
+    value = pair_sum(s1, s2)
     mags = []
     for m in range(0, s1.n_max + 1):
         lo = [abs(s1.entries[n] * s2.entries[n]) for n in (m, -m) if n in s1.entries]
         mags.append(max(lo) if lo else 0.0)
-    err = haar_scale * (s1.error_estimate * _seq_scale(s2) + s2.error_estimate * _seq_scale(s1))
-    return AverageResult(value, err, haar_scale * _ratio_tail(mags))
-
-
-def _seq_scale(s: ReducedSequence) -> float:
-    return max(abs(v) for v in s.entries.values()) if s.entries else 0.0
+    e1, e2 = s1.error_estimate, s2.error_estimate
+    sum1, sum2 = (sum(abs(v) for v in s.entries.values()) for s in (s1, s2))
+    err = e1 * sum2 + e2 * sum1 + len(s1.entries) * e1 * e2
+    return AverageResult(value, err, _ratio_tail(mags))
 
 
 # --- delta-identity validation ------------------------------------------------

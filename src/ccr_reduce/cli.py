@@ -111,8 +111,7 @@ def _scenario_bhp_average(fields, cfg, quad):
     pairs = [(i, j) for i in range(len(fields)) for j in range(i + 1, len(fields))][:6]
     averages = []
     for i, j in pairs:
-        red = averaging.average_bform_bhp_reduced(fields[i], fields[j], quad,
-                                                  sequences=(seqs[i], seqs[j]))
+        red = averaging.average_bform_bhp_reduced(seqs[i], seqs[j])
         gave = averaging.average_bform_bhp_gave(fields[i], fields[j], quad)
         averages.append({"pair": [i, j], **red.to_json()})
         denom = max(abs(red.value), 1e-300)
@@ -189,10 +188,8 @@ def _scenario_nullspace(fields, cfg, quad):
         seqs = [reduction.project_bhp(f, quad) for f in sub]
         s_psi, s_chi = seqs[0], seqs[-1]
         s_null = reduction.project_bhp(null_vec, quad)
-        avg = averaging.average_bform_bhp_reduced(chi, null_vec, quad,
-                                                  sequences=(s_chi, s_null))
-        scale_ref = abs(averaging.average_bform_bhp_reduced(
-            chi, psi, quad, sequences=(s_chi, s_psi)).value) + 1.0
+        avg = averaging.average_bform_bhp_reduced(s_chi, s_null)
+        scale_ref = abs(averaging.average_bform_bhp_reduced(s_chi, s_psi).value) + 1.0
         checks.append(_check_below("bhp-null-annihilated",
                                    abs(avg.value) / scale_ref, 1e-6,
                                    "sequence projection of (Phi_h - 1) psi"))
@@ -205,10 +202,10 @@ def _scenario_nullspace(fields, cfg, quad):
         psi, chi = sub[0], sub[-1]
         h = RotationElement(1.1)
         null_vec = add(apply_group(h, psi), scale(psi, -1.0))
-        avg = averaging.average_form_circle("mu", chi, null_vec, quad)
-        scale_ref = abs(averaging.average_form_circle("mu", chi, psi, quad).value) + 1.0
+        avg_mu = averaging.average_bform_circle(chi, null_vec, quad).value.real
+        scale_ref = abs(averaging.average_bform_circle(chi, psi, quad).value.real) + 1.0
         checks.append(_check_below("circle-null-annihilated",
-                                   abs(avg.value) / scale_ref, 1e-6,
+                                   abs(avg_mu) / scale_ref, 1e-6,
                                    "trapezoid circle average"))
         report = reduction.null_space_analysis(sub[:6], "circle", quad)
         checks.append(_check_below("circle-null-inclusion",

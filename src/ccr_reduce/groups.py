@@ -172,20 +172,6 @@ class BHPElement:
 GroupElement = Union[RotationElement, BHPElement]
 
 
-def checked_haar_scale(scale: float) -> float:
-    """The Haar measure of either group is fixed only up to a positive scale.
-
-    The form averages and null_space_analysis take that scale as
-    `haar_scale` (unit scale: total mass one on S^1, counting times
-    Lebesgue d(alpha) d(beta) on Z x R^2); a non-finite or non-positive
-    scale is rejected here.
-    """
-    scale = float(scale)
-    if not 0.0 < scale < np.inf:
-        raise ValueError(f"haar_scale must be finite and positive, got {scale}")
-    return scale
-
-
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     if isinstance(g1, RotationElement) and isinstance(g2, RotationElement):
         return RotationElement(g1.angle + g2.angle)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import NonSymplecticError, ZeroModeUndefinedError
 from .forms import mu
-from .groups import checked_haar_scale
 from .modes import FieldVector
 from .quadrature import (DEFAULT_CONFIG, _MIN_WIDTH, QuadratureConfig, _refine, adaptive_gl,
                          gl_counts, gl_nodes)
@@ -226,7 +225,6 @@ def project_bhp(f: FieldVector, quad: QuadratureConfig = DEFAULT_CONFIG) -> Redu
 
 def null_space_analysis(fields: Sequence[FieldVector], group: str,
                         quad: QuadratureConfig = DEFAULT_CONFIG,
-                        haar_scale: float = 1.0,
                         sequences: Optional[Sequence[ReducedSequence]] = None) -> dict:
     """Gram-matrix rank analysis of the averaged forms on a span of fields.
 
@@ -234,10 +232,9 @@ def null_space_analysis(fields: Sequence[FieldVector], group: str,
     threshold 1e-8 relative to a scale, and verifies that every
     numerical null direction of mu_G is annihilated by Omega_G.  The scale
     is the larger of the largest eigenvalue and the un-averaged scale
-    haar_scale * max_i mu(f_i, f_i), which bounds every circle-averaged
-    entry by the quasi-free bound; the second keeps a Gram that vanishes
-    identically (every field with a zero ring mean) from ranking its
-    roundoff.  A direction that is only numerically null (eigenvalue
+    max_i mu(f_i, f_i), which bounds every circle-averaged entry by the
+    quasi-free bound; the second keeps a Gram that vanishes identically
+    (every field with a zero ring mean) from ranking its roundoff.  A direction that is only numerically null (eigenvalue
     lambda_j below the threshold but nonzero) cannot be more Omega-null
     than the quasi-free bound allows, so each residual, relative to the
     scale, is tested against max(1e-6, 4 sqrt(lambda_j / scale));
@@ -245,7 +242,6 @@ def null_space_analysis(fields: Sequence[FieldVector], group: str,
     instead.  For group "bhp", `sequences` may pass the fields' projections
     (one per field, from project_bhp) so that they are not recomputed.
     """
-    haar_scale = checked_haar_scale(haar_scale)
     m = len(fields)
     if m == 0 or m > 40:
         raise ValueError("null_space_analysis expects between 1 and 40 fields")
@@ -257,7 +253,7 @@ def null_space_analysis(fields: Sequence[FieldVector], group: str,
 
         for i in range(m):
             for j in range(i, m):
-                B[i, j] = average_bform_circle(fields[i], fields[j], quad, haar_scale).value
+                B[i, j] = average_bform_circle(fields[i], fields[j], quad).value
                 if j > i:
                     B[j, i] = np.conj(B[i, j])
     elif group == "bhp":
@@ -265,14 +261,14 @@ def null_space_analysis(fields: Sequence[FieldVector], group: str,
             sequences = [project_bhp(f, quad) for f in fields]
         for i in range(m):
             for j in range(m):
-                B[i, j] = haar_scale * pair_sum(sequences[i], sequences[j])
+                B[i, j] = pair_sum(sequences[i], sequences[j])
     else:
         raise ValueError(f"unknown group {group!r}")
 
     gram_mu = 0.5 * (B.real + B.real.T)
     gram_om = -2.0 * 0.5 * (B.imag - B.imag.T)
     evals, evecs = np.linalg.eigh(gram_mu)
-    unaveraged = haar_scale * max(mu(f, f, quad).value for f in fields)
+    unaveraged = max(mu(f, f, quad).value for f in fields)
     scale = max(float(np.max(np.abs(evals))), unaveraged) + 1e-300
     thresh = 1e-8 * scale
     keep = evals > thresh

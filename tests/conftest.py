@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ccr_reduce import FieldVector, GaussianPacket, QuadratureConfig
+from ccr_reduce import (FieldVector, GaussianPacket, QuadratureConfig,
+                        average_bform_bhp_reduced, project_bhp)
 
 
 def random_packet(rng, center_range=2.5, width_range=(0.5, 1.2)):
@@ -29,6 +30,11 @@ def random_s0_field(rng):
     width = rng.uniform(0.6, 1.1, size=3)
     coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return s0_field(center, width, coeff)
+
+
+def reduced_average(f1, f2, quad):
+    """average_bform_bhp_reduced of the two fields' projections."""
+    return average_bform_bhp_reduced(project_bhp(f1, quad), project_bhp(f2, quad))
 
 
 @pytest.fixture

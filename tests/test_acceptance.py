@@ -20,7 +20,7 @@ from ccr_reduce import (
     average_bform_bhp_gave,
     average_bform_bhp_reduced,
     average_field_bhp,
-    average_form_circle,
+    average_bform_circle,
     bessel_j0,
     bform,
     bhp_reduced_integrand,
@@ -46,7 +46,7 @@ from ccr_reduce.corpus import generate_corpus, load_corpus
 from ccr_reduce.quadrature import QuadratureConfig
 from ccr_reduce.reduction import ReducedSequence, axisym_domain, ordered_ns
 
-from conftest import random_field, random_s0_field
+from conftest import random_field, random_s0_field, reduced_average
 
 
 def report(criterion, ok, detail):
@@ -141,8 +141,8 @@ def test_criterion_4_compact_reduction_theorem():
     worst = 0.0
     for i in range(6):
         for j in range(i, 6):
-            avg_mu = average_form_circle("mu", fields[i], fields[j], quad).value.real
-            avg_om = average_form_circle("omega", fields[i], fields[j], quad).value.real
+            avg = average_bform_circle(fields[i], fields[j], quad).value
+            avg_mu, avg_om = avg.real, -2.0 * avg.imag
             om_hat, mu_hat = reduced_forms_axisym(amps[i], amps[j], quad, domain=domain)
             scale_ref = max(abs(mu_hat), abs(om_hat), 1e-6)
             worst = max(worst, abs(avg_mu - mu_hat) / scale_ref,
@@ -159,7 +159,7 @@ def test_criterion_5_bhp_reduction_chain():
     pairs = [(random_s0_field(rng), random_s0_field(rng)) for _ in range(10)]
     worst_levels = 0.0
     for f1, f2 in pairs:
-        red = average_bform_bhp_reduced(f1, f2, quad)
+        red = reduced_average(f1, f2, quad)
         gave = average_bform_bhp_gave(f1, f2, quad)
         denom = max(abs(red.value), 1e-12)
         worst_levels = max(worst_levels, abs(gave.value - red.value) / denom)
@@ -189,16 +189,15 @@ def test_criterion_6_null_space_structure():
         chi, psi = random_field(rng), random_field(rng)
         h = RotationElement(rng.uniform(0.3, 5.0))
         null_vec = add(apply_group(h, psi), scale(psi, -1.0))
-        ref = abs(average_form_circle("mu", chi, psi, quad).value) + 1.0
-        worst = max(worst,
-                    abs(average_form_circle("mu", chi, null_vec, quad).value) / ref,
-                    abs(average_form_circle("omega", chi, null_vec, quad).value) / ref)
+        ref = abs(average_bform_circle(chi, psi, quad).value.real) + 1.0
+        val = average_bform_circle(chi, null_vec, quad).value
+        worst = max(worst, abs(val.real) / ref, abs(2 * val.imag) / ref)
     for _ in range(6):
         chi, psi = random_s0_field(rng), random_s0_field(rng)
         h = BHPElement(int(rng.integers(-2, 3)), rng.uniform(-1, 1), rng.uniform(-2, 2))
         null_vec = add(apply_group(h, psi), scale(psi, -1.0))
-        ref = abs(average_bform_bhp_reduced(chi, psi, quad).value) + 1.0
-        val = average_bform_bhp_reduced(chi, null_vec, quad).value
+        ref = abs(reduced_average(chi, psi, quad).value) + 1.0
+        val = reduced_average(chi, null_vec, quad).value
         worst = max(worst, abs(val.real) / ref, abs(2 * val.imag) / ref)
     circle_fields = [random_field(rng) for _ in range(8)]
     circle_fields.append(add(apply_group(RotationElement(1.1), circle_fields[0]),
@@ -311,25 +310,16 @@ def test_criterion_10_special_functions():
 
 
 def test_criterion_11_measure_rescaling():
-    """Haar scale c multiplies the averages; sqrt(c) sequence map matches."""
+    """A Haar scale c, as the sqrt(c) sequence map, multiplies the average by c."""
     rng = np.random.default_rng(111)
     quad = QuadratureConfig(n_max=6)
-    f1, f2 = random_field(rng), random_field(rng)
-    base_c = average_form_circle("mu", f1, f2, quad).value.real
-    g1, g2 = random_s0_field(rng), random_s0_field(rng)
-    s1 = project_bhp(g1, quad)
-    s2 = project_bhp(g2, quad)
-    base_b = average_bform_bhp_reduced(g1, g2, quad, sequences=(s1, s2)).value
+    s1 = project_bhp(random_s0_field(rng), quad)
+    s2 = project_bhp(random_s0_field(rng), quad)
+    base_b = average_bform_bhp_reduced(s1, s2).value
     worst = 0.0
     for c in (0.5, 2.0, 10.0):
-        scaled = average_form_circle("mu", f1, f2, quad, haar_scale=c).value.real
-        worst = max(worst, abs(scaled - c * base_c) / max(abs(c * base_c), 1e-12))
-        scaled_b = average_bform_bhp_reduced(g1, g2, quad, haar_scale=c,
-                                             sequences=(s1, s2)).value
-        mapped = average_bform_bhp_reduced(
-            g1, g2, quad,
-            sequences=(s1.rescaled(math.sqrt(c)), s2.rescaled(math.sqrt(c)))).value
-        worst = max(worst, abs(scaled_b - c * base_b) / abs(c * base_b),
-                    abs(mapped - scaled_b) / abs(scaled_b))
+        mapped = average_bform_bhp_reduced(s1.rescaled(math.sqrt(c)),
+                                           s2.rescaled(math.sqrt(c))).value
+        worst = max(worst, abs(mapped - c * base_b) / abs(c * base_b))
     ok = worst <= 1e-10
     report(11, ok, f"worst rescaling defect {worst:.2e} at c in (0.5, 2, 10)")

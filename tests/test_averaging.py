@@ -8,17 +8,18 @@ from ccr_reduce import (
     BHPElement,
     FieldVector,
     GaussianPacket,
+    ReducedSequence,
     RotationElement,
     TransformedPacket,
     ZeroModeDivergenceError,
     add,
+    apply_A,
     apply_group,
     average_bform_bhp_direct,
     average_bform_bhp_gave,
     average_bform_bhp_reduced,
     average_field_bhp,
     average_bform_circle,
-    average_form_circle,
     bform,
     bhp_reduced_integrand,
     mu,
@@ -43,8 +44,9 @@ from ccr_reduce.quadrature import (
     spherical_grid,
     spherical_integral,
 )
+from ccr_reduce.reduction import ordered_ns
 
-from conftest import random_field, random_s0_field, s0_field
+from conftest import random_field, random_s0_field, reduced_average, s0_field
 
 
 class TestQuadratureConfig:
@@ -479,8 +481,6 @@ class TestCircleAverage:
     def test_mass_mismatch_and_zero_field(self, rng, quad, alpha):
         f2 = apply_group(BHPElement(0, alpha, 0.0), random_field(rng))
         massive = random_field(rng, mass=1.0)
-        with pytest.raises(ValueError, match="haar_scale"):  # the scale is checked first
-            average_bform_circle(massive, f2, quad, haar_scale=-1.0)
         with pytest.raises(MassMismatchError):
             average_bform_circle(massive, f2, quad)
         zero = FieldVector(0.0, ())
@@ -492,46 +492,35 @@ class TestCircleAverage:
         # packet on the z axis, isotropic in the plane: already invariant
         f2 = FieldVector(0.0, (GaussianPacket([0, 0, 1.2], [0.8, 0.8, 1.0], 0.9 + 0.2j),))
         f1 = random_field(rng)
-        avg = average_form_circle("mu", f1, f2, quad)
+        avg = average_bform_circle(f1, f2, quad)
         direct = mu(f1, f2, quad).value
         assert avg.value.real == pytest.approx(direct, rel=1e-8)
 
     def test_insertion_invariance(self, rng, quad):
         f1, f2 = random_field(rng), random_field(rng)
-        base = average_form_circle("mu", f1, f2, quad)
-        shifted = average_form_circle("mu", f1, apply_group(RotationElement(0.77), f2), quad)
+        base = average_bform_circle(f1, f2, quad)
+        shifted = average_bform_circle(f1, apply_group(RotationElement(0.77), f2), quad)
         assert shifted.value.real == pytest.approx(base.value.real, rel=1e-10, abs=1e-12)
 
     def test_symmetry_of_averaged_mu(self, rng, quad):
         f1, f2 = random_field(rng), random_field(rng)
-        a12 = average_form_circle("mu", f1, f2, quad).value.real
-        a21 = average_form_circle("mu", f2, f1, quad).value.real
+        a12 = average_bform_circle(f1, f2, quad).value.real
+        a21 = average_bform_circle(f2, f1, quad).value.real
         assert a12 == pytest.approx(a21, rel=1e-10, abs=1e-13)
 
     def test_antisymmetry_of_averaged_omega(self, rng, quad):
         f1, f2 = random_field(rng), random_field(rng)
-        a12 = average_form_circle("omega", f1, f2, quad).value.real
-        a21 = average_form_circle("omega", f2, f1, quad).value.real
+        a12 = -2.0 * average_bform_circle(f1, f2, quad).value.imag
+        a21 = -2.0 * average_bform_circle(f2, f1, quad).value.imag
         assert a12 == pytest.approx(-a21, rel=1e-10, abs=1e-13)
 
     def test_null_vector_annihilated(self, rng, quad):
         chi, psi = random_field(rng), random_field(rng)
         h = RotationElement(2.1)
         null_vec = add(apply_group(h, psi), scale(psi, -1.0))
-        val = average_form_circle("mu", chi, null_vec, quad).value
-        ref = abs(average_form_circle("mu", chi, psi, quad).value) + 1.0
+        val = average_bform_circle(chi, null_vec, quad).value.real
+        ref = abs(average_bform_circle(chi, psi, quad).value.real) + 1.0
         assert abs(val) <= 1e-8 * ref
-
-    def test_measure_rescaling(self, rng, quad):
-        f1, f2 = random_field(rng), random_field(rng)
-        base = average_form_circle("mu", f1, f2, quad).value.real
-        for c in (0.5, 2.0, 10.0):
-            scaled = average_form_circle("mu", f1, f2, quad, haar_scale=c).value.real
-            assert scaled == pytest.approx(c * base, rel=1e-12)
-
-    def test_rejects_unknown_form(self, rng, quad):
-        with pytest.raises(ValueError):
-            average_form_circle("bform", random_field(rng), random_field(rng), quad)
 
 
 ONE_NODE = ([0.0], [1.0])
@@ -597,7 +586,7 @@ class TestBhpDirectLevel:
     def test_coarse_group_average_matches_reduced(self, quad_bhp):
         f1 = s0_field([1.0, -0.3, 0.4], [0.8, 0.9, 0.9], 0.9 + 0.4j)
         f2 = s0_field([0.7, 0.5, -0.3], [0.9, 0.8, 1.0], 0.6 - 0.7j)
-        red = average_bform_bhp_reduced(f1, f2, quad_bhp)
+        red = reduced_average(f1, f2, quad_bhp)
         direct = average_bform_bhp_direct(f1, f2, range(-3, 4), gl_nodes(64, -10.0, 10.0),
                                           gl_nodes(28, -8.0, 8.0), FIXED_COUNTS)
         assert abs(direct.value - red.value) <= 2e-3 * abs(red.value)
@@ -605,14 +594,13 @@ class TestBhpDirectLevel:
 
 class TestBhpReducedLevels:
     def test_zero_second_argument(self, rng, quad_bhp):
-        res = average_bform_bhp_reduced(random_s0_field(rng), FieldVector(0.0, ()),
-                                        quad_bhp)
+        res = reduced_average(random_s0_field(rng), FieldVector(0.0, ()), quad_bhp)
         assert res.value == 0.0
 
     def test_gave_matches_reduced(self, rng, quad_bhp):
         for _ in range(3):
             f1, f2 = random_s0_field(rng), random_s0_field(rng)
-            red = average_bform_bhp_reduced(f1, f2, quad_bhp)
+            red = reduced_average(f1, f2, quad_bhp)
             gave = average_bform_bhp_gave(f1, f2, quad_bhp)
             assert abs(gave.value - red.value) <= 1e-6 * abs(red.value)
 
@@ -620,30 +608,41 @@ class TestBhpReducedLevels:
         f1, f2 = random_s0_field(rng), random_s0_field(rng)
         s1 = project_bhp(f1, quad_bhp)
         s2 = project_bhp(f2, quad_bhp)
-        base = average_bform_bhp_reduced(f1, f2, quad_bhp, sequences=(s1, s2)).value
+        base = average_bform_bhp_reduced(s1, s2).value
         for c in (0.5, 2.0, 10.0):
-            scaled = average_bform_bhp_reduced(f1, f2, quad_bhp, haar_scale=c,
-                                               sequences=(s1, s2)).value
-            assert scaled == pytest.approx(c * base, rel=1e-12)
-            # A_n -> sqrt(c) A_n reproduces the rescaled forms at unit scale
-            mapped = average_bform_bhp_reduced(
-                f1, f2, quad_bhp,
-                sequences=(s1.rescaled(np.sqrt(c)), s2.rescaled(np.sqrt(c)))).value
-            assert mapped == pytest.approx(scaled, rel=1e-10)
+            # a Haar scale c is the map A_n -> sqrt(c) A_n of both sequences
+            mapped = average_bform_bhp_reduced(s1.rescaled(np.sqrt(c)),
+                                               s2.rescaled(np.sqrt(c))).value
+            assert mapped == pytest.approx(c * base, rel=1e-12)
+
+    def test_error_estimate_bounds_worst_case_perturbation(self):
+        # every entry of s_i may be off by e_i; move each along the other
+        # sequence's phase, so that the shifts of the N products add up
+        ns = ordered_ns(4)
+        a1 = {n: 0.6 ** abs(n) * np.exp(0.7j * n) for n in ns}
+        a2 = {n: (1.0 + 0.5j) * 0.8 ** abs(n) * np.exp(0.7j * n) for n in ns}
+        e1, e2 = 1e-6, 3e-6
+        s1, s2 = ReducedSequence(a1, True, e1), ReducedSequence(a2, True, e2)
+        res = average_bform_bhp_reduced(s1, s2)
+        moved = average_bform_bhp_reduced(
+            ReducedSequence({n: a1[n] + e1 * a2[n] / abs(a2[n]) for n in ns}, True),
+            ReducedSequence({n: a2[n] + e2 * a1[n] / abs(a1[n]) for n in ns}, True))
+        shift = abs(moved.value - res.value)
+        per_entry_max = e1 * max(map(abs, a2.values())) + e2 * max(map(abs, a1.values()))
+        assert per_entry_max < shift <= res.error_estimate
 
     def test_null_vector_annihilated(self, rng, quad_bhp):
         chi, psi = random_s0_field(rng), random_s0_field(rng)
         h = BHPElement(1, 0.6, -0.8)
         null_vec = add(apply_group(h, psi), scale(psi, -1.0))
-        val = average_bform_bhp_reduced(chi, null_vec, quad_bhp).value
-        ref = abs(average_bform_bhp_reduced(chi, psi, quad_bhp).value) + 1.0
+        val = reduced_average(chi, null_vec, quad_bhp).value
+        ref = abs(reduced_average(chi, psi, quad_bhp).value) + 1.0
         assert abs(val) <= 1e-6 * ref
 
     def test_insertion_invariance(self, rng, quad_bhp):
         f1, f2 = random_s0_field(rng), random_s0_field(rng)
-        base = average_bform_bhp_reduced(f1, f2, quad_bhp).value
-        moved = average_bform_bhp_reduced(
-            f1, apply_group(BHPElement(2, -0.5, 1.1), f2), quad_bhp).value
+        base = reduced_average(f1, f2, quad_bhp).value
+        moved = reduced_average(f1, apply_group(BHPElement(2, -0.5, 1.1), f2), quad_bhp).value
         assert moved == pytest.approx(base, rel=2e-6)
 
 
@@ -679,6 +678,16 @@ def check_reduced_state(G, E):
     assert lam[0] >= -(np.linalg.norm(E) + roundoff)
 
 
+def check_complex_structure(b, b_A):
+    """mu_G(f1, A f2) = Omega_G(f1, f2) / 2, from b = B_G(f1, f2) and b_A = B_G(f1, A f2).
+
+    With mu_G = Re B_G and Omega_G = -2 Im B_G.  Both sides may be off by
+    their error estimates; beyond that only roundoff is allowed.
+    """
+    gap = abs(b_A.value.real - (-b.value.imag))
+    assert gap <= b.error_estimate + b_A.error_estimate + 1e-13 * abs(b.value)
+
+
 @st.composite
 def circle_triples(draw):
     """Three boost-free fields of one mass; the third may be a combination of the others.
@@ -700,20 +709,23 @@ def circle_triples(draw):
 
 
 @st.composite
-def s0_triples(draw):
-    """Three zero-mode-free massless fields, each an s0 pair bare or behind a BHP element."""
-    def one():
-        center = [draw(st.floats(0.6, 1.8)), draw(st.floats(-2.0, 2.0)),
-                  draw(st.floats(-2.0, 2.0))]
-        coeff = draw(st.floats(0.2, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
-        f = s0_field(center, [draw(st.floats(0.6, 1.1)) for _ in range(3)], coeff)
-        return apply_group(draw(bhp_elements), f) if draw(st.booleans()) else f
+def s0_fields(draw):
+    """A zero-mode-free massless field: an s0 pair, bare or behind a BHP element."""
+    center = [draw(st.floats(0.6, 1.8)), draw(st.floats(-2.0, 2.0)),
+              draw(st.floats(-2.0, 2.0))]
+    coeff = draw(st.floats(0.2, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    f = s0_field(center, [draw(st.floats(0.6, 1.1)) for _ in range(3)], coeff)
+    return apply_group(draw(bhp_elements), f) if draw(st.booleans()) else f
 
-    f1, f2 = one(), one()
+
+@st.composite
+def s0_triples(draw):
+    """Three s0_fields; the third may be a combination of the others."""
+    f1, f2 = draw(s0_fields()), draw(s0_fields())
     if draw(st.booleans()):
         c = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
         return f1, f2, add(f1, scale(f2, c))
-    return f1, f2, one()
+    return f1, f2, draw(s0_fields())
 
 
 class TestReducedStateProperties:
@@ -733,7 +745,7 @@ class TestReducedStateProperties:
         seqs = {id(f): project_bhp(f, quad) for f in fields}
 
         def route(a, b):
-            return average_bform_bhp_reduced(a, b, quad, sequences=(seqs[id(a)], seqs[id(b)]))
+            return average_bform_bhp_reduced(seqs[id(a)], seqs[id(b)])
 
         check_reduced_state(*reduced_gram(route, fields))
 
@@ -743,6 +755,40 @@ class TestReducedStateProperties:
         quad = QuadratureConfig(n_max=6)
         check_reduced_state(*reduced_gram(lambda a, b: average_bform_bhp_gave(a, b, quad),
                                           fields))
+
+    @given(pair=circle_pairs(), theta=st.floats(0.0, 2.0 * np.pi))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_circle_null_vector_annihilated(self, pair, theta):
+        chi, psi = pair
+        quad = QuadratureConfig()
+        null_vec = add(apply_group(RotationElement(theta), psi), scale(psi, -1.0))
+        ref = abs(average_bform_circle(chi, psi, quad).value) + 1.0
+        assert abs(average_bform_circle(chi, null_vec, quad).value) <= 1e-8 * ref
+
+    @given(chi=s0_fields(), psi=s0_fields(),
+           h=st.builds(BHPElement, st.integers(-2, 2), st.floats(-1.0, 1.0),
+                       st.floats(-2.0, 2.0)))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_bhp_null_vector_annihilated(self, chi, psi, h):
+        quad = QuadratureConfig(n_max=6)
+        null_vec = add(apply_group(h, psi), scale(psi, -1.0))
+        ref = abs(reduced_average(chi, psi, quad).value) + 1.0
+        assert abs(reduced_average(chi, null_vec, quad).value) <= 1e-6 * ref
+
+    @given(pair=circle_pairs())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_circle_complex_structure_commutes(self, pair):
+        f1, f2 = pair
+        quad = QuadratureConfig()
+        check_complex_structure(average_bform_circle(f1, f2, quad),
+                                average_bform_circle(f1, apply_A(f2), quad))
+
+    @given(f1=s0_fields(), f2=s0_fields())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_bhp_complex_structure_commutes(self, f1, f2):
+        quad = QuadratureConfig(n_max=6)
+        check_complex_structure(reduced_average(f1, f2, quad),
+                                reduced_average(f1, apply_A(f2), quad))
 
 
 class TestPoisson:

@@ -73,3 +73,30 @@ def test_field_average_path_defaults_to_series():
     # an unnamed path is traced as the series route
     ps = params(resolve("ccr_reduce.averaging", "average_field_bhp"))
     assert ps[4].default == "series"
+
+
+def test_traced_run_matches_untraced_run(tmp_path):
+    # the counters read real results (the ladder's (value, err) pair, the
+    # amplitude's points), and tracing must leave the report unchanged
+    from ccr_reduce import cli
+    from ccr_reduce.corpus import dump_corpus, generate_corpus
+
+    corpus_path = tmp_path / "s0.json"
+    dump_corpus(generate_corpus(42, 2, s0=True), corpus_path)
+
+    def run(name):
+        return cli.run_scenario(cli.ScenarioConfig("bhp-average", str(corpus_path),
+                                                   str(tmp_path / name)))
+
+    plain = run("plain.json")
+    t = tracer.Tracer("smoke")
+    t.install()
+    try:
+        traced = run("traced.json")
+    finally:
+        t.uninstall()
+    assert traced["checks"] == plain["checks"]
+    assert traced["results"] == plain["results"]
+    summary = t.summary()
+    assert "err_to_tol_max" in summary["quadrature.adaptive_spherical"]
+    assert summary["modes.FieldVector.amplitude"]["points"] > 0

@@ -13,7 +13,7 @@ from ccr_reduce import (
     ZeroModeUndefinedError,
     add,
     apply_group,
-    average_form_circle,
+    average_bform_circle,
     bessel_j0,
     gowdy_forms,
     gowdy_from_sequence,
@@ -132,7 +132,7 @@ class TestReducedFormsAxisym:
         f1, f2 = random_field(rng), random_field(rng)
         om, mu_ = reduced_forms_axisym(project_axisymmetric(f1),
                                        project_axisymmetric(f2), quad)
-        avg = average_form_circle("mu", f1, f2, quad)
+        avg = average_bform_circle(f1, f2, quad)
         assert avg.value.real == pytest.approx(mu_, rel=1e-6)
 
     def test_reduced_bound(self, rng, quad):
@@ -269,7 +269,7 @@ class TestReducedFormsBhp:
         s1 = project_bhp(f1, quad_bhp)
         s2 = project_bhp(f2, quad_bhp)
         om, mu_ = reduced_forms_bhp(s1, s2)
-        avg = average_bform_bhp_reduced(f1, f2, quad_bhp, sequences=(s1, s2)).value
+        avg = average_bform_bhp_reduced(s1, s2).value
         assert mu_ == avg.real and om == -2.0 * avg.imag
 
     def test_canonical_basis_gram_nondegenerate(self):
