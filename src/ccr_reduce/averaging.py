@@ -23,17 +23,15 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ZeroModeDivergenceError
-from .forms import FormValue, _affine_pair, _ball_bform, _closed_pair
-from .groups import BHPElement, _rotation_matrix, apply_group
-from .modes import FieldVector, momentum_norm, zero_mode_slice
+from .forms import FormValue, _affine_pair, _closed_pair, _sphere_form, bform
+from .groups import BHPElement, RotationElement, _rotation_matrix, apply_group, inverse
+from .modes import FieldVector, rays_at, zero_mode_slice
 from .quadrature import (
-    _MIN_WIDTH,
     DEFAULT_CONFIG,
     QuadratureConfig,
     _refine,
     adaptive_gl,
     bounding_radius,
-    box_intersection,
     gl_nodes,
     oscillatory_grid,
     spherical_grid,
@@ -78,27 +76,21 @@ def average_bform_circle(f1: FieldVector, f2: FieldVector,
     evaluates only the midpoints of the level before and adds them to a
     running node sum.
 
-    A boosted term has no closed form.  Averaged over theta, Phi_theta f2 is
-    the ring mean of a2 over the azimuth, which the spherical grid samples
-    by a uniform trapezoid: one spherical ladder integrates conj(a1) times
-    the mean of a2 over each shell block's azimuth axis, on the smaller of
-    the fields' support-box corner radii (a rotation keeps |k|).
+    A boosted term has no closed form: each node is then one bform(f1,
+    Phi_theta f2), whose angular ladder integrates the closed-form radial
+    integrals, and the largest of their error estimates is added to the
+    doubling difference.
     """
     folded = _affine_pair(f1, f2)
-    if folded is None:
-        if f1.is_zero or f2.is_zero:
-            return AverageResult(0.0 + 0.0j, 0.0, 0.0)
-
-        def ring_mean_integrand(D):
-            a1, a2 = f1.on_rays(D), f2.on_rays(D)
-            return lambda r: np.conj(a1(r)) * np.mean(a2(r), axis=-1, keepdims=True)
-
-        r_box = min(bounding_radius(f1.support_box()), bounding_radius(f2.support_box()))
-        form = _ball_bform(ring_mean_integrand, f1, f2, quad, r_box)
-        return AverageResult(form.value, form.error_estimate, 0.0)
-    aff1, aff2 = folded
+    node_err = 0.0
 
     def node_sum(th) -> complex:
+        nonlocal node_err
+        if folded is None:
+            nodes = [bform(f1, apply_group(RotationElement(t), f2), quad) for t in th]
+            node_err = max([node_err] + [b.error_estimate for b in nodes])
+            return sum(b.value for b in nodes)
+        aff1, aff2 = folded
         R = _rotation_matrix(th)
         RT = np.swapaxes(R, -1, -2)
         acc = 0.0 + 0.0j
@@ -119,7 +111,7 @@ def average_bform_circle(f1: FieldVector, f2: FieldVector,
 
     cur, err = _refine(level, (16 * 2**i for i in range(9)), quad,  # 16 ... 4096
                        "circle average did not stabilize under node doubling")
-    return AverageResult(cur, err, 0.0)
+    return AverageResult(cur, err + node_err, 0.0)
 
 
 # --- non-compact group: product-grid level ------------------------------------
@@ -149,12 +141,12 @@ def average_bform_bhp_direct(f1: FieldVector, f2: FieldVector, ns: Sequence[int]
     b_nodes, b_w = (np.asarray(x, dtype=float) for x in beta_rule)
     r, wr, D, W = spherical_grid(bounding_radius(f1.support_box()) + 0.5,
                                  *[int(c) for c in counts])
-    a1 = f1.on_rays(D)
+    rows1 = f1.on_rays(D)
     boosted = [apply_group(BHPElement(0, a, 0.0), f2).on_rays(D) for a in a_nodes]
     acc = np.zeros((len(a_nodes), len(ns), len(b_nodes)), dtype=complex)
     for ri, wi in zip(r, wr):
-        pre = wi * W * np.conj(a1(ri))
-        amp = np.stack([pre * a2(ri) for a2 in boosted], axis=1)
+        pre = wi * W * np.conj(rays_at(rows1, ri))
+        amp = np.stack([pre * rays_at(rows2, ri) for rows2 in boosted], axis=1)
         phases = np.exp(2j * np.pi * ns[:, None, None] * (ri * D[None, :, :, 0]))
         # (theta, alpha, phi) @ (theta, phi, n) sums out the azimuth per theta row
         s = amp @ phases.transpose(1, 2, 0)
@@ -177,43 +169,29 @@ def bhp_reduced_integrand(f1: FieldVector, f2: FieldVector, g: BHPElement,
     Evaluates int d^3q sqrt(w(Lq)/w(q)) conj(a1)(Lq) a2(q) exp(i theta_g(q))
     with L the forward momentum map of g: a change of variables away from
     the direct transformed-pair quadrature, hence an independent route to
-    the same number.  forms._ball_bform integrates it in the corner radius
-    of the support-box intersection, with |alpha| of g added to the rapidity
-    of every f1 term for the tail radius, and the phase frequency
-    2 pi |n| + |beta| of g for the node counts.
+    the same number.  L is homogeneous of degree one and theta_g linear, so
+    on the ray q = r d the root is sqrt(|Ld| / |d|) and the phase
+    r theta_g(d): both fold into f2's on_rays rows, and f1's rows are taken
+    on the pushed-forward rays L d, where a1 is the amplitude of Phi_g^-1 f1
+    up to that root and phase.  forms._sphere_form integrates each ray in
+    closed form and the directions on a ladder sized from Phi_g^-1 f1 and f2.
     """
     if f1.mass != 0.0 or f2.mass != 0.0:
         raise ValueError("the reduced integrand applies to the massless theory")
     if f1.is_zero or f2.is_zero:
         return FormValue(0.0 + 0.0j, 0.0)
 
-    def integrand(D):
-        # L is homogeneous of degree one and theta_g linear, so on the ray
-        # q = r d: Lq = r Ld, the root is sqrt(|Ld| / |d|) and the phase r theta_g(d)
+    def pair_rows(D):
+        # the directions are unit, so |Ld| / |d| is the |Ld| push_forward returns
         dx, dy, dz = D[..., 0], D[..., 1], D[..., 2]
-        w = momentum_norm(dx, dy, dz)
-        lx, ly, lz, wf = g.push_forward(dx, dy, dz, w)
-        root = np.sqrt(wf / w)
-        a1, a2 = f1.on_rays(np.stack((lx, ly, lz), axis=-1)), f2.on_rays(D)
+        lx, ly, lz, wf = g.push_forward(dx, dy, dz, 1.0)
+        log_root = 0.5 * np.log(wf)
         theta = g.phase_at(dx, dy, dz)
+        theta = 0.0 if theta is None else theta
+        rows2 = [(c, h, r0, lead + log_root, th + theta) for c, h, r0, lead, th in f2.on_rays(D)]
+        return f1.on_rays(np.stack((lx, ly, lz), axis=-1)), rows2
 
-        def shell(r):
-            out = root * np.conj(a1(r)) * a2(r)
-            return out if theta is None else out * np.exp(1j * r * theta)
-
-        return shell
-
-    box2 = f2.support_box()
-    lo1, hi1 = f1.support_box()
-    # pull the f1 box back through the inverse map to bound the support of Q
-    grids = np.meshgrid(*[np.linspace(lo1[i], hi1[i], 7) for i in range(3)], indexing="ij")
-    pts = g.inverse_momentum_map(np.stack(grids, axis=-1).reshape(-1, 3))
-    box1_back = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
-    inter = box_intersection(box2, box1_back)
-    if inter is None:
-        return FormValue(0.0 + 0.0j, 1e-15)
-    return _ball_bform(integrand, f1, f2, quad, bounding_radius(inter), abs(g.alpha),
-                       2.0 * np.pi * abs(g.n) + abs(g.beta))
+    return _sphere_form(pair_rows, apply_group(inverse(g), f1), f2, quad)
 
 
 # --- non-compact group: semi-analytic and reduced levels ----------------------
@@ -231,9 +209,9 @@ def average_bform_bhp_gave(f1: FieldVector, f2: FieldVector,
                                  / ((n^2+l^2)(n^2+k^2))^(1/4),
     where the n = 0 integrals use the k = u|u| substitution that removes the
     |k|^(-1/2) endpoint exactly.  The Gauss-Legendre double sum has rank one,
-    so it is evaluated as conj(sum w g1) * (sum w g2).  One array ladder
-    refines every n: a level puts the n = 0 row on a u rule and the other
-    rows on a k rule of the same count.
+    so it is evaluated as conj(sum w g1) * (sum w g2).  One adaptive_gl
+    ladder over u refines every n: a level puts the n = 0 row on its u rule
+    and the other rows on the affine image of that rule on the k interval.
     """
     lo1, hi1 = f1.support_box()
     lo2, hi2 = f2.support_box()
@@ -241,24 +219,19 @@ def average_bform_bhp_gave(f1: FieldVector, f2: FieldVector,
     k_hi = max(hi1[1], hi2[1]) + 0.5
     u_hi = np.sqrt(max(abs(k_lo), abs(k_hi)))
     ns = np.array(ordered_ns(quad.n_max), dtype=float)
-    # Deliberately not quadrature.gl_counts: freeing this rule's large rules
-    # (391 nodes on the seed-42 s0 corpus) raises glibc's mmap threshold, so
-    # a cold bhp-average run, whose boosted ladders follow, takes about 2.3k
-    # minor faults; with rules of 254 nodes at most it took 151k (CHANGES.md).
-    wmin = max(min(f1.min_width(), f2.min_width()), _MIN_WIDTH)
-    n_nodes = int(np.clip(4.0 * (k_hi - k_lo) / wmin, 64, 480))
+    scale = (k_hi - k_lo) / (2.0 * u_hi)
 
-    def level(factor: float) -> np.ndarray:
-        m = int(n_nodes * factor)
-        u, wu = gl_nodes(m, -u_hi, u_hi)
-        k, wk = gl_nodes(m, k_lo, k_hi)
-        nodes = np.vstack([u * np.abs(u), np.broadcast_to(k, (len(ns) - 1, m))])
+    def level(u: np.ndarray, wu: np.ndarray) -> np.ndarray:
+        k, wk = k_lo + (u + u_hi) * scale, wu * scale
+        nodes = np.vstack([u * np.abs(u), np.broadcast_to(k, (len(ns) - 1, len(u)))])
         wgt = np.vstack([2.0 * wu, wk * (ns[1:, None] ** 2 + k * k) ** -0.25])
         g1, g2 = (np.sum(wgt * _slice_grid(f, ns[:, None], nodes), axis=1) for f in (f1, f2))
         return np.conj(g1) * g2
 
-    vals, err = _refine(level, (1.0, 1.5, 2.25), quad,
-                        "per-n double quadrature did not converge")
+    # a packet of width w at k = u^2 is about w / 2u wide in u
+    width = min(f1.min_width(), f2.min_width()) / (2.0 * u_hi)
+    vals, err = adaptive_gl(level, -u_hi, u_hi, quad, width,
+                            "per-n double quadrature did not converge")
     tail = _ratio_tail([np.max(np.abs(vals[np.abs(ns) == m])) for m in range(quad.n_max + 1)])
     # every entry moved by at most err between the last two levels
     return AverageResult(2.0 * np.pi * complex(np.sum(vals)),

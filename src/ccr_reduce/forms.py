@@ -4,28 +4,22 @@ The central object is B(f1, f2) = integral d^3k conj(a1) a2 over momentum
 space; the symplectic form is Omega = -2 Im B and the vacuum scalar product
 is mu = Re B.  For pairs whose terms are Gaussians decorated only by
 rotations and translations, B reduces to an exact 3D Gaussian integral;
-boosted terms are integrated numerically.
+with boosted terms only the radial integral along each ray is exact, and
+the directions are integrated numerically.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MassMismatchError, NegativeFormError
 from .modes import FieldVector, add, scale
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    adaptive_spherical,
-    bounding_radius,
-    box_intersection,
-)
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, adaptive_sphere
+from .specfun import faddeeva
 
 _CLOSED_FORM_EPS = 5e-15
-_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -111,111 +105,85 @@ def _closed_pair(a1, a2):
             / np.sqrt(np.linalg.det(M)) * np.exp(expo))
 
 
-def _tail_radius(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig,
-                 r_max: float, boost: float = 0.0):
-    """Radius R <= r_max of a ball outside which |conj(a1) a2| has mass <= abs_tol / 100.
+def _radial_moment(P, m, theta):
+    """int_0^inf r^2 exp(-P (r - m)^2 + i theta r) dr, elementwise for P > 0.
 
-    Every term obeys |a_t(k)| <= C_t exp(-(e^{-A_t} |k| - |c_t|)_+^2 / 2 w_t^2),
-    with c_t the centre and w_t the largest width of its base packet, A_t the
-    summed |rapidity| of its action chain and C_t = |coeff_t| e^{A_t / 2}:
-    rotations and translations keep |k|, while a y-boost of rapidity alpha
-    shrinks |k| by at most e^{-|alpha|} and multiplies the frequency ratio
-    by at most e^{|alpha|}.  `boost` is added to every f1 term's A_t, for
-    integrands that evaluate f1 at a boosted momentum and carry the square
-    root of its frequency ratio.  Beyond max_t |c_t| e^{A_t} each pair
-    exponent is an exact square in r, so the mass outside |k| = R has a
-    closed form in erfc; R is the bisected smallest radius whose bound
-    meets abs_tol / 100.  Returns (R, bound at R); R is r_max, with its
-    bound (infinite where no closed form applies), when the target cannot
-    be met inside r_max.
+    With z = sqrt(P) m + i theta / (2 sqrt(P)) it equals
+    P^(-3/2) e^(-P m^2) [(sqrt(pi) / 4)(1 + 2 z^2) w(-iz) + z / 2], with w
+    the Faddeeva function.  For m > 0 the reflection w(-iz) = 2 e^(z^2) - w(iz)
+    turns the first term into (sqrt(pi) / 2)(1 + 2 z^2) e^(i theta m - theta^2 / 4P)
+    plus a w(iz) term.  So w is only taken in the upper half plane, where
+    |w| <= 1, and no factor but a polynomial in z exceeds 1.
     """
-    def envelope(f, extra):
-        rows = []
+    s = np.sqrt(P)
+    z = s * m + 0.5j * theta / s
+    outward = m > 0.0
+    poly = 0.25 * np.sqrt(np.pi) * (1.0 + 2.0 * z * z)
+    w = faddeeva(np.where(outward, 1j * z, -1j * z))
+    val = np.exp(-P * m * m) * (0.5 * z + np.where(outward, -poly, poly) * w)
+    val = val + np.where(outward, 2.0 * poly * np.exp(1j * theta * m - 0.25 * theta * theta / P),
+                         0.0)
+    return val / (P * s)
+
+
+def _ray_integrals(rows1, rows2):
+    """Per direction d, the integral over r >= 0 of r^2 conj(a1(r d)) a2(r d).
+
+    rows1 and rows2 are FieldVector.on_rays rows on the same directions.
+    Each pair of Gaussians is conj(c1) c2 exp(lead1 + lead2 - q) times
+    exp(-P (r - m)^2 + i Theta r), with P = h1 + h2,
+    m = (h1 r01 + h2 r02) / P, q = h1 h2 (r01 - r02)^2 / P and
+    Theta = theta2 - theta1, so its radial integral is _radial_moment's
+    closed form.  A factor of the integrand that depends on d alone, or a
+    phase linear in r, can be folded into a row's lead or theta.
+    """
+    total = 0.0
+    for c1, h1, r01, lead1, th1 in rows1:
+        c1, h1, r01, lead1 = (x[:, None] for x in (c1, h1, r01, lead1))
+        for c2, h2, r02, lead2, th2 in rows2:
+            P = h1 + h2
+            m = (h1 * r01 + h2 * r02) / P
+            q = h1 * h2 / P * (r01 - r02) ** 2
+            pair = (np.conj(c1) * c2 * np.exp(lead1 + lead2 - q)
+                    * _radial_moment(P, m, th2 - th1))
+            total = total + np.sum(pair, axis=(0, 1))
+    return total
+
+
+def _sphere_form(pair_rows, f1: FieldVector, f2: FieldVector,
+                 quad: QuadratureConfig) -> FormValue:
+    """The sphere integral of _ray_integrals(*pair_rows(D)), from the on_rays rows of a pair.
+
+    The ladder of quadrature.adaptive_sphere is sized from the pair, whose
+    amplitudes are those of f1 and f2 as functions of the direction.  A term
+    of smallest width w, centre c and summed |rapidity| A subtends at least
+    w e^-A / max(|c|, w) at k = 0: a boost moves the centre by up to a
+    factor e^A but keeps the transverse width.  The phase of the integrand
+    has a frequency of at most the sum, over both fields, of the largest
+    summed |phase_vector| of a term's chain, and it turns by that times R
+    over the sphere, with R the largest e^A (|c| + w).
+    """
+    angle, reach, freq = np.inf, 0.0, 0.0
+    for f in (f1, f2):
         for t in f.terms:
-            A = extra + sum(abs(g.total_rapidity()) for g in t.chain)
-            rows.append((abs(t.base.coeff) * np.exp(0.5 * A), np.exp(-A),
-                         np.linalg.norm(t.base.center), np.max(t.base.width)))
-        C, a, c, w = np.array(rows).T
-        return C, c / a, a * a / (2.0 * w * w)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        C1, x1, p1 = envelope(f1, boost)
-        C2, x2, p2 = envelope(f2, 0.0)
-        r_lo = max(np.max(x1), np.max(x2))
-    if not r_lo < r_max:
-        return r_max, np.inf
-    # pair (s, t): p1 (r - x1)^2 + p2 (r - x2)^2 = P (r - m)^2 + q0 for r >= r_lo
-    x1, p1, x2, p2 = x1[:, None], p1[:, None], x2[None, :], p2[None, :]
-    P = p1 + p2
-    m = (p1 * x1 + p2 * x2) / P
-    pref = 4.0 * np.pi * np.outer(C1, C2) * np.exp(-p1 * p2 / P * (x1 - x2) ** 2)
-
-    def tail(R):
-        # int_R^inf r^2 exp(-P (r - m)^2) dr, with u = r - m >= 0
-        u = R - m
-        gauss = 0.5 * np.sqrt(np.pi / P) * _erfc(np.sqrt(P) * u)
-        return float(np.sum(pref * ((m * m + 0.5 / P) * gauss
-                                    + (u + 2.0 * m) * np.exp(-P * u * u) / (2.0 * P))))
-
-    target = 1e-2 * quad.abs_tol
-    if tail(r_max) > target:
-        return r_max, tail(r_max)
-    if tail(r_lo) <= target:
-        return r_lo, tail(r_lo)
-    lo, hi = r_lo, r_max
-    while hi - lo > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if tail(mid) <= target else (mid, hi)
-    return hi, tail(hi)
-
-
-def _ball_bform(integrand, f1: FieldVector, f2: FieldVector, quad: QuadratureConfig,
-                r_box: float, boost: float = 0.0, freq: float = 0.0) -> FormValue:
-    """Spherical-grid integral of a product of f1 and f2 amplitudes over a ball.
-
-    integrand is the per-level factory of quadrature.adaptive_spherical:
-    given a level's unit directions it pulls each field's chains back once
-    (FieldVector.on_rays) and returns the integrand on the shell of radius
-    r.  Boosts exist only for mass 0, and their frequency ratio is smooth in
-    (r, cos theta, phi) though not at k = 0.  The radius is the smaller of
-    r_box and the radius from _tail_radius, with `boost` added to the
-    rapidity of every f1 term; the ladder is sized by the narrower field's
-    min_width and by freq, the frequency of a phase the integrand carries.
-    """
-    r_max, _ = _tail_radius(f1, f2, quad, r_box, boost)
-    val, err = adaptive_spherical(integrand, r_max, quad,
-                                  min(f1.min_width(), f2.min_width()), freq)
-    return FormValue(val, err)
-
-
-def _numeric_bform(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig) -> FormValue:
-    """B(f1, f2) by _ball_bform in the corner radius of the support-box intersection.
-
-    The ladder starts from the fields' widths alone; phases of translated
-    terms are left to its later levels.
-    """
-    boxes1 = f1.term_boxes()
-    boxes2 = f2.term_boxes()
-    pieces = [box_intersection(b1, b2) for b1 in boxes1 for b2 in boxes2]
-    pieces = [p for p in pieces if p is not None]
-    if not pieces:
-        return FormValue(0.0 + 0.0j, 1e-15)
-    lo = np.min([p[0] for p in pieces], axis=0)
-    hi = np.max([p[1] for p in pieces], axis=0)
-
-    def integrand(D):
-        a1, a2 = f1.on_rays(D), f2.on_rays(D)
-        return lambda r: np.conj(a1(r)) * a2(r)
-
-    return _ball_bform(integrand, f1, f2, quad, bounding_radius((lo, hi)))
+            A = sum(abs(g.total_rapidity()) for g in t.chain)
+            w, c = float(np.min(t.base.width)), float(np.linalg.norm(t.base.center))
+            angle = min(angle, w * np.exp(-A) / max(c, w))
+            reach = max(reach, np.exp(A) * (c + w))
+        freq += max(sum(np.linalg.norm(pv) for pv in (g.phase_vector() for g in t.chain)
+                        if pv is not None) for t in f.terms)
+    return FormValue(*adaptive_sphere(lambda D: _ray_integrals(*pair_rows(D)), quad, angle,
+                                      freq * reach))
 
 
 def bform(f1: FieldVector, f2: FieldVector,
           quad: QuadratureConfig = DEFAULT_CONFIG) -> FormValue:
     """B(f1, f2) = integral of conj(a1) a2 over momentum space.
 
-    Closed form whenever both fields are free of boosts; otherwise adaptive
-    quadrature with an error estimate.
+    Closed form whenever both fields are free of boosts.  Otherwise each
+    ray's radial integral is closed form (_ray_integrals), and an adaptive
+    angular ladder (_sphere_form) integrates over directions with an error
+    estimate.
     """
     folded = _affine_pair(f1, f2)
     if f1.is_zero or f2.is_zero:
@@ -227,7 +195,7 @@ def bform(f1: FieldVector, f2: FieldVector,
             for a2 in aff2:
                 total += _closed_pair(a1, a2)
         return FormValue(total, _CLOSED_FORM_EPS * (abs(total) + 1.0))
-    return _numeric_bform(f1, f2, quad)
+    return _sphere_form(lambda D: (f1.on_rays(D), f2.on_rays(D)), f1, f2, quad)
 
 
 def omega(f1: FieldVector, f2: FieldVector,

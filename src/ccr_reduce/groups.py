@@ -82,9 +82,6 @@ class RotationElement:
     def push_forward(self, kx, ky, kz, w):
         return _turn(self.angle, kx, ky, kz, w)
 
-    def inverse_momentum_map(self, K):
-        return _stacked(self.pull_back, K)
-
     def forward_momentum_map(self, K):
         return _stacked(self.push_forward, K)
 

@@ -232,48 +232,40 @@ class FieldVector:
             out = out + (part if factor is None else part * factor)
         return out
 
-    def on_rays(self, D: Array):
-        """The amplitude on the rays k = r D, as a function at(r) of the radius r > 0.
+    def on_rays(self, D: Array) -> list:
+        """The amplitude on the rays k = r D, as one row per action chain.
 
-        D has shape (..., 3) with nonzero rows, not necessarily unit; at(r)
-        returns a(r D), of shape D.shape[:-1].  Each distinct chain is pulled
-        back once, at D: on a ray its momentum and phase scale with r and its
-        frequency root does not move (pull_back_chain).  With
-        u = (L^-1 D) / width and v = center / width a base Gaussian is then
-        coeff exp(-|u|^2 (r - r0)^2 / 2 - B), where r0 = u.v / |u|^2 and
-        B = |v - r0 u|^2 / 2 >= 0, and the chain's phase is exp(i r theta(D)).
-        The completed square never puts more than the log of the root into
-        an exponent, so a narrow packet far from the origin cannot overflow
-        as the expanded exp(|v|^2 / 2) would.
+        D has shape (..., 3) with nonzero rows, not necessarily unit.  Each
+        distinct chain is pulled back once, at D: on a ray its momentum and
+        phase scale with r and its frequency root does not move
+        (pull_back_chain).  With u = (L^-1 D) / width and v = center / width
+        a base Gaussian is then coeff exp(lead - h (r - r0)^2), where
+        h = |u|^2 / 2, r0 = u.v / |u|^2 and lead = log(root) - |v - r0 u|^2 / 2,
+        and the chain's phase is exp(i r theta(D)).  A row is
+        (coeff, h, r0, lead, theta) for the chain's b base packets: coeff has
+        shape (b, 1, ..., 1), h, r0 and lead (b,) + D.shape[:-1], and theta
+        D.shape[:-1], or is 0.0 when the chain has no phase.  The completed
+        square never puts more than the log of the root into an exponent, so
+        a narrow packet far from the origin cannot overflow as the expanded
+        exp(|v|^2 / 2) would.  rays_at sums the rows on one shell.
         """
         D = np.asarray(D, dtype=float)
-        dx, dy, dz = D[..., 0], D[..., 1], D[..., 2]
-        rays = []
+        lift = (-1,) + (1,) * (D.ndim - 1)
+        rows = []
         for chain, bases in self.by_chain:
-            qx, qy, qz, theta, root = pull_back_chain(chain, dx, dy, dz)
-            log_root = 0.0 if root is None else np.log(root)
-            gaussians = []
-            for b in bases:
-                (cx, cy, cz), (wx, wy, wz) = b.center, b.width
-                ux, uy, uz = qx / wx, qy / wy, qz / wz
-                uu = ux * ux + uy * uy + uz * uz
-                r0 = (ux * cx / wx + uy * cy / wy + uz * cz / wz) / uu
-                ex, ey, ez = cx / wx - r0 * ux, cy / wy - r0 * uy, cz / wz - r0 * uz
-                gaussians.append((b.coeff, 0.5 * uu, r0,
-                                  log_root - 0.5 * (ex * ex + ey * ey + ez * ez)))
-            rays.append((gaussians, theta))
-
-        def at(r: float) -> Array:
-            out = np.zeros(D.shape[:-1], dtype=complex)
-            for gaussians, theta in rays:
-                part = 0.0
-                for coeff, half_uu, r0, lead in gaussians:
-                    s = r - r0
-                    part = part + coeff * np.exp(lead - half_uu * s * s)
-                out = out + (part if theta is None else part * np.exp(1j * r * theta))
-            return out
-
-        return at
+            qx, qy, qz, theta, root = pull_back_chain(chain, D[..., 0], D[..., 1], D[..., 2])
+            width = np.array([b.width for b in bases]).T.reshape((3,) + lift)
+            v = np.array([b.center for b in bases]).T.reshape((3,) + lift) / width
+            u = np.stack(np.broadcast_arrays(qx, qy, qz))[:, None] / width
+            uu = np.sum(u * u, axis=0)
+            r0 = np.sum(u * v, axis=0) / uu
+            e = v - r0 * u
+            lead = -0.5 * np.sum(e * e, axis=0)
+            if root is not None:
+                lead = lead + np.log(root)
+            coeff = np.array([b.coeff for b in bases]).reshape(lift)
+            rows.append((coeff, 0.5 * uu, r0, lead, 0.0 if theta is None else theta))
+        return rows
 
     @property
     def is_zero(self) -> bool:
@@ -286,11 +278,8 @@ class FieldVector:
     def support_box(self):
         if not self.terms:
             return np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0])
-        boxes = self.term_boxes()
+        boxes = [t.box() for t in self.terms]
         return np.min([b[0] for b in boxes], axis=0), np.max([b[1] for b in boxes], axis=0)
-
-    def term_boxes(self):
-        return [t.box() for t in self.terms]
 
     def term_centers(self) -> np.ndarray:
         """Packet centers mapped through their action chains, shape (n, 3)."""
@@ -327,7 +316,7 @@ class FieldVector:
 
         Fields with this property form the subspace on which the group
         average of the field itself converges; the n = 0 projection of
-        anything else diverges logarithmically in the boost cutoff.
+        anything else diverges linearly in the boost cutoff.
 
         When every term is untransformed or translation-only, the test is
         exact: on the line each term is its coefficient times
@@ -356,6 +345,16 @@ class FieldVector:
 def _translation_only(term) -> bool:
     """No rotation and no boost in the chain, so the term is its base on k_x = k_z = 0."""
     return not term.has_boost and all(g.phase_vector() is not None for g in term.chain)
+
+
+def rays_at(rows, r: float):
+    """a(r D) on the shell of radius r, from the rows of FieldVector.on_rays(D)."""
+    out = 0.0
+    for coeff, h, r0, lead, theta in rows:
+        s = r - r0
+        part = np.sum(coeff * np.exp(lead - h * s * s), axis=0)
+        out = out + part * np.exp(1j * r * theta)
+    return out
 
 
 def add(f1: FieldVector, f2: FieldVector) -> FieldVector:
@@ -401,8 +400,8 @@ def evaluate_field(f: FieldVector, t: float, x, quad: QuadratureConfig = DEFAULT
 
     def shells(D):
         # massless: w = r on the unit rays, and the phase is r (D.x - t)
-        a, q = f.on_rays(D), D @ x - t
-        return lambda r: norm * np.sqrt(0.5 / r) * a(r) * np.exp(1j * r * q)
+        rows, q = f.on_rays(D), D @ x - t
+        return lambda r: norm * np.sqrt(0.5 / r) * rays_at(rows, r) * np.exp(1j * r * q)
 
     box = f.support_box()
     lo, hi = box

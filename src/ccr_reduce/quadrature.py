@@ -6,6 +6,8 @@ functions except for two well-understood defects in the massless case: a
 frequency ratio attached to boosts.  Tensor Gauss-Legendre grids handle the
 smooth case; a global spherical grid centered on k=0 handles the massless
 one, because both defects are smooth in (radius, direction) coordinates.
+Where the radial integral has a closed form, only the unit sphere of
+directions is left to a ladder (adaptive_sphere).
 """
 
 from __future__ import annotations
@@ -90,10 +92,11 @@ def _count_ladder(base, caps, growth: float, floor: int):
 
 
 # Node caps of the ladders.  SHELL_CAPS (n_theta, n_phi) and TENSOR_CAP
-# bound the block one integrand call sees; the radial count only sets how
-# many shells are summed, so its cap sits RADIAL_STEPS growth steps above
-# its start, under RADIAL_CEILING.  GL_CAP caps every axis of the 1D and 2D
-# Gauss-Legendre ladders.  Narrower widths count as _MIN_WIDTH.
+# bound the block one integrand call sees, also on the unit sphere; the
+# radial count only sets how many shells are summed, so its cap sits
+# RADIAL_STEPS growth steps above its start, under RADIAL_CEILING.  GL_CAP
+# caps every axis of the 1D and 2D Gauss-Legendre ladders.  Narrower widths
+# count as _MIN_WIDTH.
 SHELL_CAPS = (280, 560)
 RADIAL_STEPS = 5
 RADIAL_CEILING = 1000
@@ -211,30 +214,54 @@ def spherical_integral(fn: ShellFactory, r_max: float, counts) -> complex:
     return total
 
 
-def adaptive_spherical(fn: ShellFactory, r_max: float, cfg: QuadratureConfig,
-                       width: float, freq: float = 0.0):
+def adaptive_spherical(fn: ShellFactory, r_max: float, cfg: QuadratureConfig, width: float):
     """Spherical-grid integral over the ball |k| <= r_max with node growth.
 
     The grid is Gauss-Legendre in radius and cos(theta) and trapezoidal in
     azimuth, which is spectrally accurate for integrands smooth in
     (radius, direction) even when they are not smooth at k = 0 in Cartesian
-    coordinates.  width is the integrand's narrowest feature and freq the
-    frequency of a phase exp(i q.k) it carries: the radial start is
-    3 r_max / width + 1.2 freq r_max / pi, at least 48, and the polar start
-    48 + 0.9 freq r_max / pi, with twice as many azimuths; both are kept
-    three growth steps below their caps.  fn is the per-level factory of
-    spherical_integral, so it runs once per level of the ladder.  Returns
-    (value, error_estimate); raises QuadratureError when the ladder reaches
-    a cap before the tolerance is met.
+    coordinates.  width is the integrand's narrowest feature: the radial
+    start is 3 r_max / width, at least 48, and the polar start 48, with
+    twice as many azimuths; both are kept three growth steps below their
+    caps.  fn is the per-level factory of spherical_integral, so it runs
+    once per level of the ladder.  Returns (value, error_estimate); raises
+    QuadratureError when the ladder reaches a cap before the tolerance is
+    met.
     """
     growth = 1.4
-    nr = max(int(3.0 * r_max / max(width, _MIN_WIDTH) + 1.2 * freq * r_max / np.pi), 48)
+    nr = max(int(3.0 * r_max / max(width, _MIN_WIDTH)), 48)
     nr = min(nr, int(RADIAL_CEILING / growth**3))
-    nang = int(min(48 + 0.9 * freq * r_max / np.pi, SHELL_CAPS[0] / growth**3))
     caps = (min(int(nr * growth**RADIAL_STEPS), RADIAL_CEILING), *SHELL_CAPS)
-    levels = _count_ladder((nr, nang, 2 * nang), caps, growth, 12)
+    levels = _count_ladder((nr, 48, 96), caps, growth, 12)
     return _refine(lambda counts: spherical_integral(fn, r_max, counts), levels, cfg,
                    "spherical quadrature did not converge below its node caps")
+
+
+def adaptive_sphere(fn: Callable[[Array], Array], cfg: QuadratureConfig, angle: float,
+                    turn: float):
+    """Integral over the unit sphere of directions with node growth.
+
+    fn takes (rows, nphi, 3) unit directions of spherical_grid and returns
+    the integrand there; it is called on blocks of polar rows that hold at
+    most 2048 directions, which keeps temporaries bounded.  angle is the
+    integrand's narrowest angular feature and turn the largest angle (in
+    radians) by which a phase it carries turns over the sphere: the polar
+    start is 4 / angle + turn / 2, with twice as many azimuths, kept three
+    growth steps below SHELL_CAPS.  Returns (value, error_estimate); raises
+    QuadratureError when the ladder reaches a cap before the tolerance is
+    met.
+    """
+    growth = 1.4
+    nang = int(min(4.0 / max(angle, _MIN_WIDTH) + 0.5 * turn, SHELL_CAPS[0] / growth**3))
+
+    def level(counts) -> complex:
+        _, _, D, W = spherical_grid(1.0, 1, *counts)
+        rows = max(1, 2048 // counts[1])
+        return sum(complex(np.sum(W[i:i + rows] * fn(D[i:i + rows])))
+                   for i in range(0, counts[0], rows))
+
+    return _refine(level, _count_ladder((nang, 2 * nang), SHELL_CAPS, growth, 12), cfg,
+                   "angular quadrature did not converge below its node caps")
 
 
 def oscillatory_grid(a: float, b: float, max_freq: float):
@@ -253,15 +280,6 @@ def oscillatory_grid(a: float, b: float, max_freq: float):
     nodes = (centers[:, None] + half * x0[None, :]).ravel()
     weights = np.broadcast_to(half * w0, (n_panels, 16)).ravel()
     return nodes, weights
-
-
-def box_intersection(box_a, box_b):
-    """Intersection of two axis-aligned boxes, or None when empty."""
-    lo = np.maximum(np.asarray(box_a[0], float), np.asarray(box_b[0], float))
-    hi = np.minimum(np.asarray(box_a[1], float), np.asarray(box_b[1], float))
-    if np.any(lo >= hi):
-        return None
-    return lo, hi
 
 
 def bounding_radius(box) -> float:

@@ -29,10 +29,10 @@ from ccr_reduce import (
     substitution_check,
     zero_mode_divergence_probe,
 )
-from ccr_reduce import forms, quadrature
+from ccr_reduce import quadrature
 from ccr_reduce.corpus import generate_corpus, load_corpus
 from ccr_reduce.errors import MassMismatchError, QuadratureError
-from ccr_reduce.modes import omega_of
+from ccr_reduce.modes import omega_of, rays_at
 from ccr_reduce.quadrature import (
     QuadratureConfig,
     _leggauss,
@@ -40,8 +40,8 @@ from ccr_reduce.quadrature import (
     adaptive_gl,
     adaptive_spherical,
     adaptive_tensor3,
+    bounding_radius,
     gl_nodes,
-    spherical_grid,
     spherical_integral,
 )
 from ccr_reduce.reduction import ordered_ns
@@ -189,7 +189,7 @@ def whole_grid_integral(fn, r_max, counts):
 
 class TestSphericalShells:
     def test_one_shell_per_call_at_the_cap(self):
-        # the bhp_reduced_integrand cap: a whole grid would need 1.4 GB for K
+        # the shell caps: a whole grid would need 1.4 GB for K
         shapes = []
         levels = []
 
@@ -228,16 +228,8 @@ bhp_elements = st.builds(BHPElement, st.integers(-1, 1), st.floats(-1.0, 1.0),
                          st.floats(-2.0, 2.0))
 
 
-def shell_integral(fn, r_in, r_out, counts=(64, 48, 96)):
-    """Product-rule integral of fn over r_in <= |k| <= r_out, shell by shell."""
-    nr, nt, nphi = counts
-    _, _, D, W = spherical_grid(1.0, 1, nt, nphi)
-    r, wr = gl_nodes(nr, r_in, r_out)
-    return sum(wi * ri * ri * float(np.sum(W * fn(ri * D))) for ri, wi in zip(r, wr))
-
-
 @st.composite
-def tail_terms(draw):
+def chain_terms(draw):
     """A Gaussian term, bare or behind a rotation and/or a BHP element (|alpha| <= 1)."""
     num = st.floats(-2.5, 2.5)
     base = GaussianPacket([draw(num) for _ in range(3)],
@@ -253,74 +245,51 @@ def tail_terms(draw):
     return TransformedPacket(base, tuple(chain)) if chain else base
 
 
-tail_fields = st.builds(lambda terms: FieldVector(0.0, tuple(terms)),
-                        st.lists(tail_terms(), min_size=1, max_size=2))
+chain_fields = st.builds(lambda terms: FieldVector(0.0, tuple(terms)),
+                         st.lists(chain_terms(), min_size=1, max_size=2))
 CENTRED = FieldVector(0.0, (GaussianPacket([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1.0),))
+boosts = st.builds(BHPElement, st.integers(-1, 1),
+                   st.one_of(st.floats(-1.0, -0.1), st.floats(0.1, 1.0)), st.floats(-2.0, 2.0))
 
 
-def check_tail_radius(route, integrand_abs, f1, f2, quad):
-    """The tail-bounded ball against the corner-radius ball, for one route.
+def radial_route(f1, f2, quad, g):
+    """B(f1, Phi_g f2) by the radial Gauss-Legendre route, the reference of the angular one.
 
-    The full ball is `route` with `forms._tail_radius` replaced by the
-    identity on its radius; the closed-form tail at the shrunk radius must
-    bound the brute-force |integrand| mass between the two radii, for
-    several targets, and both balls must give the same value wherever the
-    full ball converges.
+    The reduced integrand root(d) conj(a1)(r L d) a2(r d) exp(i r theta_g(d))
+    of bhp_reduced_integrand, with each amplitude from its on_rays rows, is
+    integrated shell by shell by adaptive_spherical on the ball of f2's
+    support-box corner radius, outside which a2 is below e^-50.
     """
-    seen = []
+    def factory(D):
+        w = omega_of(D, 0.0)
+        lx, ly, lz, wf = g.push_forward(D[..., 0], D[..., 1], D[..., 2], w)
+        rows1, rows2 = f1.on_rays(np.stack((lx, ly, lz), axis=-1)), f2.on_rays(D)
+        theta = g.phase_at(D[..., 0], D[..., 1], D[..., 2])
+        theta = 0.0 if theta is None else theta
+        return lambda r: (np.sqrt(wf / w) * np.conj(rays_at(rows1, r)) * rays_at(rows2, r)
+                          * np.exp(1j * r * theta))
 
-    def full_ball(f1, f2, quad, r_max, boost=0.0):
-        seen.append((r_max, boost))
-        return r_max, np.inf
-
-    with mock.patch.object(forms, "_tail_radius", full_ball):
-        try:
-            full = route(quad).value
-        except QuadratureError:  # the full ball's radial count hit its cap
-            full = None
-    if not seen:  # disjoint supports: no ball at all, and an exact zero
-        assert full == 0.0
-        return
-    (r_box, boost), = seen
-    for abs_tol in (1e-4, 1e-8, quad.abs_tol):
-        R, bound = forms._tail_radius(f1, f2, QuadratureConfig(abs_tol=abs_tol), r_box, boost)
-        assert R <= r_box
-        if R < r_box:
-            assert bound <= 1e-2 * abs_tol
-            assert shell_integral(integrand_abs, R, r_box) <= bound * (1.0 + 1e-9)
-    if full is not None:
-        shrunk = route(quad).value
-        assert abs(shrunk - full) <= max(quad.abs_tol, quad.rel_tol * abs(full))
+    width = min(f1.min_width() * np.exp(-abs(g.alpha)), f2.min_width())
+    value, _ = adaptive_spherical(factory, bounding_radius(f2.support_box()), quad, width)
+    return value
 
 
 class TestTailRadius:
-    @given(f1=tail_fields, f2=tail_fields)
-    @example(f1=CENTRED, f2=CENTRED)  # the bound is exact for this pair
-    @settings(max_examples=6, deadline=None, derandomize=True)
-    def test_numeric_bform_tail(self, f1, f2):
-        def integrand_abs(K):
-            return np.abs(f1.amplitude(K)) * np.abs(f2.amplitude(K))
+    """Boosted pairs integrate every ray to infinity in closed form: no radial tail is cut."""
 
+    @given(f1=chain_fields, f2=chain_fields, g=boosts)
+    @example(f1=CENTRED, f2=CENTRED, g=BHPElement(1, 0.5, 0.8))
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_angular_routes_match_radial_route(self, f1, f2, g):
+        # B(f1, Phi_g f2) by the boosted bform and by the reduced integrand
         quad = QuadratureConfig()
-        check_tail_radius(lambda q: forms._numeric_bform(f1, f2, q),
-                          integrand_abs, f1, f2, quad)
-
-    @given(f1=tail_fields, f2=tail_fields, g=bhp_elements)
-    @example(f1=CENTRED, f2=CENTRED, g=BHPElement(0, 1.0, 0.0))  # needs g's rapidity
-    @settings(max_examples=6, deadline=None, derandomize=True)
-    def test_reduced_integrand_tail(self, f1, f2, g):
-        def integrand_abs(Q):
-            Qf = g.forward_momentum_map(Q)
-            ratio = omega_of(Qf, 0.0) / omega_of(Q, 0.0)
-            return np.sqrt(ratio) * np.abs(f1.amplitude(Qf)) * np.abs(f2.amplitude(Q))
-
-        quad = QuadratureConfig()
-        check_tail_radius(lambda q: bhp_reduced_integrand(f1, f2, g, q),
-                          integrand_abs, f1, f2, quad)
+        ref = radial_route(f1, f2, quad, g)
+        for got in (bform(f1, apply_group(g, f2), quad), bhp_reduced_integrand(f1, f2, g, quad)):
+            assert abs(got.value - ref) <= max(quad.abs_tol, quad.rel_tol * abs(ref))
 
     def test_reduced_integrand_zero_field(self, rng, quad_bhp):
         # the zero field's placeholder box meets the other box, so the guard
-        # must come before the ball is sized
+        # must come before the ladder is sized
         f = FieldVector(0.0, (GaussianPacket([0.3, 0.2, 0.1], [1.0, 1.0, 1.0], 1.0),))
         zero = FieldVector(0.0, ())
         g = BHPElement(1, 0.5, 0.8)
@@ -330,25 +299,13 @@ class TestTailRadius:
 
     def test_seed42_pair_translation_identity(self):
         # on the s0 corpus pair (0, 1) the reduced single integral at
-        # g = (1, 0, 0) meets the closed form bform(f1, Phi_g f2) on a ball
-        # well inside the corner radius of the support-box intersection
+        # g = (1, 0, 0) meets the closed form bform(f1, Phi_g f2)
         f1, f2 = load_corpus(generate_corpus(42, 6, s0=True))[:2]
         g = BHPElement(1, 0.0, 0.0)
         quad = QuadratureConfig(n_max=8)
-        radii = []
-        tail_radius = forms._tail_radius
-
-        def spy(f1, f2, quad, r_max, boost=0.0):
-            R, bound = tail_radius(f1, f2, quad, r_max, boost)
-            radii.append((r_max, R))
-            return R, bound
-
-        with mock.patch.object(forms, "_tail_radius", spy):
-            reduced = bhp_reduced_integrand(f1, f2, g, quad).value
+        reduced = bhp_reduced_integrand(f1, f2, g, quad).value
         closed = bform(f1, apply_group(g, f2), quad).value
         assert abs(reduced - closed) <= 1e-9 * abs(closed)
-        (r_box, R), = radii
-        assert R < 0.7 * r_box
 
 
 def circle_node_mean(f1, f2, quad, n):
@@ -404,9 +361,9 @@ def circle_pairs(draw):
 def boosted_circle_cases(draw):
     """A boost-free field, a y-boosted one, and a generic rotation angle.
 
-    An angle that is a multiple of 2 pi / nphi would map the spherical grid
-    onto itself; a generic one lies off the azimuth grids and tests the
-    invariance of the ring mean itself.
+    An angle that is a multiple of 2 pi / nphi would map an angular grid
+    onto itself; a generic one lies off the azimuth grids of every node's
+    bform and tests the invariance of the average itself.
     """
     terms = st.lists(circle_terms(), min_size=1, max_size=2)
     f1 = FieldVector(0.0, tuple(draw(terms)))
@@ -709,6 +666,26 @@ def circle_triples(draw):
 
 
 @st.composite
+def boosted_circle_fields(draw):
+    """A bare packet behind one BHPElement(0, alpha, beta), |alpha| <= 1."""
+    base = GaussianPacket([draw(st.floats(-2.5, 2.5)) for _ in range(3)],
+                          [draw(st.floats(0.4, 1.2)) for _ in range(3)],
+                          complex(draw(st.floats(0.1, 1.0)), draw(st.floats(-1.0, 1.0))))
+    g = BHPElement(0, draw(st.floats(-1.0, 1.0)), draw(st.floats(-2.0, 2.0)))
+    return apply_group(g, FieldVector(0.0, (base,)))
+
+
+@st.composite
+def boosted_circle_triples(draw):
+    """Three boosted_circle_fields; the third may be a combination of the others."""
+    f1, f2 = draw(boosted_circle_fields()), draw(boosted_circle_fields())
+    if draw(st.booleans()):
+        c = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+        return f1, f2, add(f1, scale(f2, c))
+    return f1, f2, draw(boosted_circle_fields())
+
+
+@st.composite
 def s0_fields(draw):
     """A zero-mode-free massless field: an s0 pair, bare or behind a BHP element."""
     center = [draw(st.floats(0.6, 1.8)), draw(st.floats(-2.0, 2.0)),
@@ -737,6 +714,22 @@ class TestReducedStateProperties:
         quad = QuadratureConfig()
         check_reduced_state(*reduced_gram(lambda a, b: average_bform_circle(a, b, quad),
                                           fields))
+
+    @given(fields=boosted_circle_triples())
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    def test_circle_boosted_route(self, fields):
+        quad = QuadratureConfig()
+        check_reduced_state(*reduced_gram(lambda a, b: average_bform_circle(a, b, quad),
+                                          fields))
+
+    @given(chi=boosted_circle_fields(), psi=boosted_circle_fields(),
+           theta=st.floats(0.0, 2.0 * np.pi))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    def test_circle_boosted_null_vector_annihilated(self, chi, psi, theta):
+        quad = QuadratureConfig()
+        null_vec = add(apply_group(RotationElement(theta), psi), scale(psi, -1.0))
+        ref = abs(average_bform_circle(chi, psi, quad).value) + 1.0
+        assert abs(average_bform_circle(chi, null_vec, quad).value) <= 1e-8 * ref
 
     @given(fields=s0_triples())
     @settings(max_examples=10, deadline=None, derandomize=True)

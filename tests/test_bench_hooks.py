@@ -77,8 +77,10 @@ def test_field_average_path_defaults_to_series():
 
 def test_traced_run_matches_untraced_run(tmp_path):
     # the counters read real results (the ladder's (value, err) pair, the
-    # amplitude's points), and tracing must leave the report unchanged
-    from ccr_reduce import cli
+    # amplitude's points), and tracing must leave the report unchanged;
+    # bhp-average integrates no spherical ladder, so a massless field whose
+    # support box holds the origin runs one through evaluate_field
+    from ccr_reduce import FieldVector, GaussianPacket, cli, evaluate_field
     from ccr_reduce.corpus import dump_corpus, generate_corpus
 
     corpus_path = tmp_path / "s0.json"
@@ -89,10 +91,12 @@ def test_traced_run_matches_untraced_run(tmp_path):
                                                    str(tmp_path / name)))
 
     plain = run("plain.json")
+    field = FieldVector(0.0, (GaussianPacket([0.2, -0.1, 0.3], [0.8, 0.8, 0.8], 1.0),))
     t = tracer.Tracer("smoke")
     t.install()
     try:
         traced = run("traced.json")
+        evaluate_field(field, 0.5, [0.1, 0.0, -0.2])
     finally:
         t.uninstall()
     assert traced["checks"] == plain["checks"]

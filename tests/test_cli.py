@@ -130,18 +130,19 @@ class TestCliProcess:
 
     def test_no_scipy_on_the_import_path(self):
         # importing scipy.integrate took about 0.6 s and 50 MB of every CLI
-        # process's set-up on a 2-core x86 box; the package needs numpy
-        # alone, also in the three functions that used to call scipy
+        # process's set-up on a 2-core x86 box, and numpy.fft about 5.6 ms;
+        # the package needs numpy alone, also in the three functions that
+        # used to call scipy and in the Faddeeva function of a boosted bform
         code = ("import sys, numpy as np\n"
                 "import ccr_reduce.cli\n"
-                "from ccr_reduce import FieldVector, GaussianPacket, QuadratureConfig, "
-                "project_bhp, substitution_check\n"
-                "from ccr_reduce.forms import _tail_radius\n"
+                "from ccr_reduce import BHPElement, FieldVector, GaussianPacket, "
+                "QuadratureConfig, apply_group, bform, project_bhp, substitution_check\n"
                 "f = FieldVector(0.0, (GaussianPacket([0.5, 0.3, 0.1], [1, 1, 1], 1.0),))\n"
                 "project_bhp(f, QuadratureConfig(n_max=2))\n"
                 "substitution_check(lambda x: np.exp(-0.5 * x * x), 12.0)\n"
-                "_tail_radius(f, f, QuadratureConfig(), 20.0)\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+                "bform(f, apply_group(BHPElement(1, 0.5, 0.8), f))\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                " or m.startswith('numpy.fft')))\n")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"

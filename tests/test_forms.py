@@ -22,6 +22,7 @@ from ccr_reduce import (
     weyl_multiply,
     weyl_star,
 )
+from ccr_reduce import forms
 
 from conftest import random_field
 
@@ -86,6 +87,26 @@ class TestBform:
         left = bform(f1, add(f2, scale(f3, 1.7)), quad).value
         right = bform(f1, f2, quad).value + 1.7 * bform(f1, f3, quad).value
         assert left == pytest.approx(right, rel=1e-12)
+
+
+class TestRadialMoment:
+    # (P, m, theta): inward and outward centres, no phase and fast phases, a
+    # narrow packet far out (P m^2 = 1600) and a wide one (P = 0.02)
+    CASES = [(1.0, 0.5, 0.3), (16.0, 3.2, 0.0), (0.5, -2.0, 4.0), (2.0, 0.0, 10.0),
+             (100.0, 4.0, 60.0), (0.02, 1.0, 0.5), (1.0, -6.0, 0.0), (4.0, 1.5, -25.0),
+             (1e4, 0.4, 3.0)]
+
+    def test_matches_mpmath_quadrature(self):
+        # within 1e-12 of the integral of the modulus over the whole line,
+        # sqrt(pi / P) (m^2 + 1 / 2P): the natural scale of one term pair
+        mp = pytest.importorskip("mpmath")
+        P, m, theta = (np.array(x, dtype=float) for x in zip(*self.CASES))
+        got = forms._radial_moment(P, m, theta)
+        for (p, c, t), g in zip(self.CASES, got):
+            top = max(c, 0.0)
+            ref = complex(mp.quad(lambda r: r * r * mp.exp(-p * (r - c) ** 2 + 1j * t * r),
+                                  [0, top, top + 12 / mp.sqrt(p), mp.inf]))
+            assert abs(g - ref) <= 1e-12 * np.sqrt(np.pi / p) * (c * c + 0.5 / p)
 
 
 class TestOmegaMu:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ccr_reduce import DomainError, bessel_j0, bessel_y0, hankel2_0, hankel2_0_integral
-from ccr_reduce.specfun import SEAM, _hankel2_asymptotic, _j0_series, _y0_series
+from ccr_reduce.specfun import SEAM, _hankel2_asymptotic, _j0_series, _y0_series, faddeeva
 
 EULER = 0.5772156649015328606
 
@@ -123,3 +123,50 @@ class TestDifferentialIdentities:
             d1 = (vals[2] - vals[0]) / (2 * h)
             residual = d2 + d1 / x + vals[1]
             assert abs(residual) < 1e-6
+
+
+def polar_points(rng, n, r_max, lo, hi):
+    """n points with log-uniform modulus in [1e-3, r_max] and argument in [lo, hi]."""
+    r = np.exp(rng.uniform(np.log(1e-3), np.log(r_max), n))
+    return r * np.exp(1j * rng.uniform(lo, hi, n))
+
+
+class TestFaddeeva:
+    """w(z) = exp(-z^2) erfc(-iz) against scipy's wofz and mpmath.
+
+    The radial closed form of a boosted pair takes w at +-iz with
+    z = sqrt(P) m + i theta / (2 sqrt(P)), always in the closed upper half
+    plane: |z| reaches about 25 for a phase 2 pi n k_x at n = 10 on a packet
+    of width 0.8, and hundreds for a narrow packet far out.
+    """
+
+    def test_upper_half_plane_against_wofz(self, rng):
+        sp = pytest.importorskip("scipy.special")
+        z = np.concatenate([polar_points(rng, 20000, 50.0, 0.0, np.pi),
+                            np.linspace(-50.0, 50.0, 1001),           # the real axis
+                            1j * np.linspace(0.0, 50.0, 501),         # the imaginary axis
+                            polar_points(rng, 2000, 500.0, 0.0, np.pi)])
+        ref = sp.wofz(z)
+        assert np.max(np.abs(faddeeva(z) - ref) / np.abs(ref)) < 1e-12
+
+    def test_lower_half_plane_by_reflection(self, rng):
+        # w grows like exp(Im(z)^2 - Re(z)^2) below the real axis: sample
+        # where that stays below exp(700)
+        sp = pytest.importorskip("scipy.special")
+        z = polar_points(rng, 20000, 50.0, -np.pi, 0.0)
+        z = z[z.imag ** 2 - z.real ** 2 < 700.0]
+        ref = sp.wofz(z)
+        assert np.max(np.abs(faddeeva(z) - ref) / np.abs(ref)) < 1e-12
+
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        points = [0.0, 1e-3 + 1e-3j, 0.7 + 0.2j, -2.5 + 1.5j, 3.0 - 2.0j, -0.4 - 1.1j,
+                  12.0 + 0.01j, -30.0 + 5.0j, 0.5 + 40.0j, 45.0j, -20.0 - 19.0j]
+        with mp.workdps(30):
+            for z in points:
+                ref = complex(mp.exp(-mp.mpc(z) ** 2) * mp.erfc(-1j * mp.mpc(z)))
+                assert abs(complex(faddeeva(z)) - ref) <= 1e-12 * abs(ref)
+
+    def test_shape_and_scalar(self):
+        assert faddeeva(0.0) == pytest.approx(1.0, abs=1e-13)
+        assert faddeeva(np.zeros((2, 3))).shape == (2, 3)
