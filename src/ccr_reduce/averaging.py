@@ -23,8 +23,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ZeroModeDivergenceError
-from .forms import FormValue, _affine_pair, _closed_pair, _sphere_form, bform
-from .groups import BHPElement, RotationElement, _rotation_matrix, apply_group, inverse
+from .forms import FormValue, _affine_pair, _ball_form, _closed_pair, _sphere_form
+from .groups import BHPElement, _rotation_matrix, apply_group, inverse
 from .modes import FieldVector, rays_at, zero_mode_slice
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -76,21 +76,28 @@ def average_bform_circle(f1: FieldVector, f2: FieldVector,
     evaluates only the midpoints of the level before and adds them to a
     running node sum.
 
-    A boosted term has no closed form: each node is then one bform(f1,
-    Phi_theta f2), whose angular ladder integrates the closed-form radial
-    integrals, and the largest of their error estimates is added to the
-    doubling difference.
+    A boosted term has no closed form.  Averaged over theta, Phi_theta f2 is
+    the ring mean of a2 over the azimuth, which the spherical grid samples
+    by a uniform trapezoid: one spherical ladder (forms._ball_form)
+    integrates conj(a1) times the mean of a2 over each shell block's
+    azimuth axis.  The mean of Gaussians along a ray is no Gaussian, so the
+    closed-form radial integrals of bform do not apply to it.
     """
     folded = _affine_pair(f1, f2)
-    node_err = 0.0
+    if folded is None:
+        if f1.is_zero or f2.is_zero:
+            return AverageResult(0.0 + 0.0j, 0.0, 0.0)
+
+        def ring_mean(D):
+            rows1, rows2 = f1.on_rays(D), f2.on_rays(D)
+            return lambda r: (np.conj(rays_at(rows1, r))
+                              * np.mean(rays_at(rows2, r), axis=-1, keepdims=True))
+
+        form = _ball_form(ring_mean, f1, f2, quad)
+        return AverageResult(form.value, form.error_estimate, 0.0)
+    aff1, aff2 = folded
 
     def node_sum(th) -> complex:
-        nonlocal node_err
-        if folded is None:
-            nodes = [bform(f1, apply_group(RotationElement(t), f2), quad) for t in th]
-            node_err = max([node_err] + [b.error_estimate for b in nodes])
-            return sum(b.value for b in nodes)
-        aff1, aff2 = folded
         R = _rotation_matrix(th)
         RT = np.swapaxes(R, -1, -2)
         acc = 0.0 + 0.0j
@@ -111,7 +118,7 @@ def average_bform_circle(f1: FieldVector, f2: FieldVector,
 
     cur, err = _refine(level, (16 * 2**i for i in range(9)), quad,  # 16 ... 4096
                        "circle average did not stabilize under node doubling")
-    return AverageResult(cur, err + node_err, 0.0)
+    return AverageResult(cur, err, 0.0)
 
 
 # --- non-compact group: product-grid level ------------------------------------

@@ -5,7 +5,8 @@ space; the symplectic form is Omega = -2 Im B and the vacuum scalar product
 is mu = Re B.  For pairs whose terms are Gaussians decorated only by
 rotations and translations, B reduces to an exact 3D Gaussian integral;
 with boosted terms only the radial integral along each ray is exact, and
-the directions are integrated numerically.
+the directions are integrated numerically.  An integrand that is no
+Gaussian along rays, such as a ring mean, is integrated over a ball.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from .errors import MassMismatchError, NegativeFormError
 from .modes import FieldVector, add, scale
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, adaptive_sphere
+from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, ShellFactory, adaptive_sphere,
+                         adaptive_spherical, bounding_radius)
 from .specfun import faddeeva
 
 _CLOSED_FORM_EPS = 5e-15
@@ -174,6 +176,20 @@ def _sphere_form(pair_rows, f1: FieldVector, f2: FieldVector,
                         if pv is not None) for t in f.terms)
     return FormValue(*adaptive_sphere(lambda D: _ray_integrals(*pair_rows(D)), quad, angle,
                                       freq * reach))
+
+
+def _ball_form(shells: ShellFactory, f1: FieldVector, f2: FieldVector,
+               quad: QuadratureConfig) -> FormValue:
+    """Spherical-grid integral of a product of f1 and f2 amplitudes over a ball.
+
+    shells is the per-level factory of quadrature.adaptive_spherical, which
+    pulls each field's chains back once per level (FieldVector.on_rays).
+    The ball has the smaller of the fields' support-box corner radii, and
+    the ladder is sized by the narrower field's min_width.
+    """
+    r_max = min(bounding_radius(f.support_box()) for f in (f1, f2))
+    val, err = adaptive_spherical(shells, r_max, quad, min(f1.min_width(), f2.min_width()))
+    return FormValue(val, err)
 
 
 def bform(f1: FieldVector, f2: FieldVector,

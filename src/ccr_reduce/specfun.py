@@ -183,22 +183,17 @@ def _weideman_coefficients() -> np.ndarray:
 
 
 def faddeeva(z):
-    """w(z) = exp(-z^2) erfc(-iz), elementwise on complex arrays.
+    """w(z) = exp(-z^2) erfc(-iz), elementwise on complex arrays with Im z >= 0.
 
-    The expansion holds in the closed upper half plane, where |w| <= 1; below
-    it the reflection w(z) = 2 exp(-z^2) - w(-z) applies, which grows like
-    exp(Im(z)^2 - Re(z)^2).
+    The expansion holds in the closed upper half plane, where |w| <= 1.
+    Below it, callers reflect: w(z) = 2 exp(-z^2) - w(-z).
     """
     z = np.asarray(z, dtype=complex)
-    lower = z.imag < 0.0
-    zu = np.where(lower, -z, z)
-    den = _W_L - 1j * zu
-    Z = (_W_L + 1j * zu) / den
+    den = _W_L - 1j * z
+    Z = (_W_L + 1j * z) / den
     coeffs = _weideman_coefficients()
     p = np.full_like(Z, coeffs[0])
     for a in coeffs[1:]:  # Horner, in place
         p *= Z
         p += a
-    w = np.asarray(2.0 * p / (den * den) + 1.0 / (np.sqrt(np.pi) * den))
-    w[lower] = 2.0 * np.exp(-z[lower] ** 2) - w[lower]
-    return w
+    return 2.0 * p / (den * den) + 1.0 / (np.sqrt(np.pi) * den)

@@ -361,9 +361,9 @@ def circle_pairs(draw):
 def boosted_circle_cases(draw):
     """A boost-free field, a y-boosted one, and a generic rotation angle.
 
-    An angle that is a multiple of 2 pi / nphi would map an angular grid
-    onto itself; a generic one lies off the azimuth grids of every node's
-    bform and tests the invariance of the average itself.
+    An angle that is a multiple of 2 pi / nphi would map the spherical grid
+    onto itself; a generic one lies off the azimuth grids and tests the
+    invariance of the ring mean itself.
     """
     terms = st.lists(circle_terms(), min_size=1, max_size=2)
     f1 = FieldVector(0.0, tuple(draw(terms)))
