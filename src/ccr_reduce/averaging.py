@@ -358,7 +358,8 @@ def average_field_bhp(f: FieldVector, tau: float, sigma: float,
 
     lo, hi = f.support_box()
     ns = np.array(ordered_ns(quad.n_max)[1:], dtype=float)[:, None]
-    boost = np.array([cosh_phase_integral(abs(n) * tau)[0] for n in ns[:, 0]])
+    # the boost integral depends on |n| alone, and ns pairs -m with m
+    boost = np.repeat([cosh_phase_integral(m * tau)[0] for m in range(1, quad.n_max + 1)], 2)
 
     def level(ky: np.ndarray, wk: np.ndarray) -> np.ndarray:
         return boost * np.sum(wk * _slice_grid(f, ns, ky) / np.sqrt(np.hypot(ns, ky)), axis=1)
@@ -370,51 +371,64 @@ def average_field_bhp(f: FieldVector, tau: float, sigma: float,
 
 
 def zero_mode_divergence_probe(f: FieldVector, alpha_cutoffs: Sequence[float]) -> list:
-    """Magnitude of the truncated n = 0 field average at tau = 1 at growing boost cutoffs.
+    """Magnitude of the truncated n = 0 field average at tau = 1 at increasing boost cutoffs.
 
-    For a field with a(0, k_y, 0) != 0 the sequence grows without bound
-    (asymptotically linearly in the cutoff); on the zero-mode-free subspace
-    it is identically zero.  The oscillatory half-line k_y = +-v^2 integral
-    is a weighted sum on one grid for the slow branch (nu <= 50: the local
-    frequency 2 nu v of exp(-i nu v^2) stays below 100 sqrt(q_hi)) and a
-    contour rotation for the fast one, so cutoffs of order 40 cost nothing.
+    It grows linearly in the cutoff, with the slope |sqrt(2) Im(A_0)| / (4 pi^2)
+    (A_0 from project_bhp), unless the field is zero-mode free: then it is 0.
+    The k_y < 0 half of the slice g(k_y) = a(0, k_y, 0) enters at alpha where
+    the k_y > 0 half enters at -alpha, so the alpha integral folds onto
+    [0, A] and sees only G(k) = g(k) + g(-k), k > 0.  With k = v^2, its
+    oscillatory k integral is a weighted sum on one grid for the slow branch
+    (nu <= 50: the local frequency 2 nu v of exp(-i nu v^2) stays below
+    100 sqrt(q_hi)) and a contour rotation for the fast one.  The panels
+    between increasing cutoffs (the first from 0) are adaptive_gl ladders at
+    unit width and DEFAULT_CONFIG whose running sums are returned; a panel
+    that does not converge raises QuadratureError.
     """
+    edges = np.concatenate([[0.0], np.asarray(alpha_cutoffs, dtype=float)])
+    if not np.all(np.diff(edges) > 0.0):
+        raise ValueError("alpha cutoffs must be positive and increasing")
     g = zero_mode_slice(f)
+
+    def G(k):
+        return g(k) + g(-k)
+
     lo, hi = f.support_box()
     q_hi = max(abs(lo[1]), abs(hi[1])) + 1.0
     c0 = (2.0 * (2.0 * np.pi) ** 3) ** -0.5
     v, wv = oscillatory_grid(0.0, np.sqrt(q_hi), 100.0 * np.sqrt(q_hi))
-    slow = {}
-    for sign in (1.0, -1.0):
-        w = 2.0 * wv * g(sign * v * v)
-        slow[sign] = np.stack([w.real, w.imag], axis=-1)
+    w = 2.0 * wv * G(v * v)
+    slow = np.stack([w.real, w.imag], axis=-1)
     x, wx = gl_nodes(200, -1.0, 1.0)
 
-    def K_of(nu: np.ndarray, sign: float) -> np.ndarray:
+    def K_of(nu: np.ndarray) -> np.ndarray:
         out = np.empty(nu.shape, dtype=complex)
         s = nu <= 50.0
         # exp(-i ph) @ slow in real arithmetic: a cos and a sin cost less than
         # a complex exp
         ph = np.multiply.outer(nu[s], v) * v
-        c, sn = np.cos(ph) @ slow[sign], np.sin(ph) @ slow[sign]
+        c, sn = np.cos(ph) @ slow, np.sin(ph) @ slow
         out[s] = (c[:, 0] + sn[:, 1]) + 1j * (c[:, 1] - sn[:, 0])
         # fast branch: the GL rule on [0, sqrt(45 / nu)] per row
         half = 0.5 * np.sqrt(45.0 / nu[~s])[:, None]
         u, wu = half * x + half, half * wx
         out[~s] = np.exp(-1j * np.pi / 4) * np.sum(
-            wu * 2.0 * g(-1j * sign * u * u) * np.exp(-nu[~s, None] * u * u), axis=-1)
+            wu * 2.0 * G(-1j * u * u) * np.exp(-nu[~s, None] * u * u), axis=-1)
         return out
 
     def h(alpha: np.ndarray) -> np.ndarray:
-        kp = K_of(np.exp(-alpha), 1.0)
-        km = K_of(np.exp(alpha), -1.0)
-        return 2.0 * (c0 * (kp + km)).real
+        K = K_of(np.exp(np.concatenate([-alpha, alpha])))
+        return 2.0 * (c0 * (K[:len(alpha)] + K[len(alpha):])).real
 
     chunk = 16  # alpha nodes per block: each temporary stays near 1 MB
-    results = []
-    for A in alpha_cutoffs:
-        m = int(np.clip(16.0 * A, 96, 1400))
-        a_nodes, a_w = gl_nodes(m, -float(A), float(A))
-        vals = np.concatenate([h(a_nodes[i0:i0 + chunk]) for i0 in range(0, m, chunk)])
-        results.append(float(abs(np.sum(a_w * vals))))
+
+    def panel_sum(a: np.ndarray, wa: np.ndarray) -> float:
+        return sum(float(np.sum(wa[i:i + chunk] * h(a[i:i + chunk])))
+                   for i in range(0, len(a), chunk))
+
+    total, results = 0.0, []
+    for a, b in zip(edges[:-1], edges[1:]):
+        total += adaptive_gl(panel_sum, float(a), float(b), DEFAULT_CONFIG, 1.0,
+                             "zero-mode probe quadrature did not converge")[0]
+        results.append(abs(total))
     return results

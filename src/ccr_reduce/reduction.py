@@ -93,14 +93,10 @@ class AxisymmetricAmplitude:
     n_angle: int
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def grid_values(self, kap_nodes: np.ndarray, kz_nodes: np.ndarray,
-                    key=None) -> np.ndarray:
-        if key is not None and key in self._cache:
-            return self._cache[key]
-        vals = self.value(kap_nodes, kz_nodes)
-        if key is not None:
-            self._cache[key] = vals
-        return vals
+    def grid_values(self, kap_nodes: np.ndarray, kz_nodes: np.ndarray, key) -> np.ndarray:
+        if key not in self._cache:
+            self._cache[key] = self.value(kap_nodes, kz_nodes)
+        return self._cache[key]
 
     def value(self, kappa_nodes, kz_nodes):
         """A on the tensor grid kappa_nodes x kz_nodes.
@@ -363,10 +359,9 @@ def gowdy_value(p: GowdySolution, tau: float, sigma: float) -> float:
     a0 = p.a0()
     val = (1.0 / np.sqrt(np.pi)) * (a0 * (1.0 - 1j * np.log(tau))).real
     osc = 0j
-    for n in ordered_ns(p.n_max):
-        if n == 0:
-            continue
-        osc = osc + p.coeffs[n] * hankel2_0(abs(n) * tau) * np.exp(1j * n * sigma)
+    for m in range(1, p.n_max + 1):  # the modes -m and m share H0_2(m tau)
+        pair = p.coeffs[-m] * np.exp(-1j * m * sigma) + p.coeffs[m] * np.exp(1j * m * sigma)
+        osc = osc + hankel2_0(m * tau) * pair
     return float(val + (1.0 / np.sqrt(2.0)) * osc.real)
 
 

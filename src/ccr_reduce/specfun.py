@@ -34,38 +34,30 @@ class SpecialFunctionResult:
     flags: tuple = ()
 
 
-def _j0_series(x: float) -> float:
+def _series(x: float):
+    """(J0(x), Y0(x)) for x > 0 from their power series in one long-double pass.
+
+    Both series share the terms (-1)^m q^m / (m!)^2 with q = x^2 / 4; Y0's
+    carries the harmonic numbers H_m and the sign (-1)^(m+1).
+    """
     xl = np.longdouble(x)
     q = xl * xl / 4
-    term = np.longdouble(1.0)
-    s = term
-    m = 0
-    while True:
-        m += 1
-        term = -term * q / (m * m)
-        s += term
-        if m > 4 and abs(term) < _LD_EPS * max(abs(s), np.longdouble(1.0)):
-            break
-    return float(s)
-
-
-def _y0_series(x: float) -> float:
-    xl = np.longdouble(x)
-    q = xl * xl / 4
-    term = np.longdouble(1.0)
+    one = np.longdouble(1.0)
+    term = one
+    j0 = one
     h = np.longdouble(0.0)
     s = np.longdouble(0.0)
     m = 0
     while True:
         m += 1
         term = -term * q / (m * m)   # (-1)^m q^m / (m!)^2
-        h += 1 / np.longdouble(m)
-        contrib = -term * h          # harmonic-weighted series carries (-1)^{m+1}
-        s += contrib
-        if m > 4 and abs(contrib) < _LD_EPS * max(abs(s), np.longdouble(1.0)):
+        h += one / m
+        j0 += term
+        s -= term * h
+        if (m > 4 and abs(term) < _LD_EPS * max(abs(j0), one)
+                and abs(term * h) < _LD_EPS * max(abs(s), one)):
             break
-    j0 = np.longdouble(_j0_series(x))
-    return float(2.0 / np.pi * ((np.log(xl / 2) + _EULER) * j0 + s))
+    return float(j0), float(2.0 / np.pi * ((np.log(xl / 2) + _EULER) * j0 + s))
 
 
 def _hankel2_asymptotic(x: float):
@@ -92,24 +84,19 @@ def _hankel2_asymptotic(x: float):
 
 
 def bessel_j0(x: float) -> float:
-    """J0(x) for x >= 0; absolute error below 1e-12 across the seam."""
+    """J0(x), the real part of hankel2_0 (J0 is even and J0(0) = 1)."""
     x = float(x)
     if not np.isfinite(x):
         raise DomainError("bessel_j0 requires a finite argument")
-    x = abs(x)
-    if x < SEAM:
-        return _j0_series(x)
-    return _hankel2_asymptotic(x)[0].real
+    return 1.0 if x == 0.0 else hankel2_0(abs(x)).real
 
 
 def bessel_y0(x: float) -> float:
-    """Y0(x) for x > 0 (logarithmic at the origin)."""
+    """Y0(x) for x > 0 (logarithmic at the origin), minus the imaginary part of hankel2_0."""
     x = float(x)
     if x <= 0.0:
         raise DomainError("bessel_y0 requires x > 0")
-    if x < SEAM:
-        return _y0_series(x)
-    return -_hankel2_asymptotic(x)[0].imag
+    return -hankel2_0(x).imag
 
 
 def hankel2_0(x: float) -> complex:
@@ -118,7 +105,8 @@ def hankel2_0(x: float) -> complex:
     if x <= 0.0:
         raise DomainError("hankel2_0 requires x > 0")
     if x < SEAM:
-        return complex(_j0_series(x), -_y0_series(x))
+        j0, y0 = _series(x)
+        return complex(j0, -y0)
     return complex(_hankel2_asymptotic(x)[0])
 
 

@@ -635,6 +635,21 @@ def check_reduced_state(G, E):
     assert lam[0] >= -(np.linalg.norm(E) + roundoff)
 
 
+def check_omega_antisymmetry(b12, b21):
+    """Omega_G(f1, f2) = -Omega_G(f2, f1), from b12 = B_G(f1, f2) and b21 = B_G(f2, f1).
+
+    Each Omega_G = -2 Im B_G may be off by twice its operand's error estimate.
+    """
+    gap = abs(-2.0 * b12.value.imag - 2.0 * b21.value.imag)
+    assert gap <= 2.0 * (b12.error_estimate + b21.error_estimate) + 1e-13 * abs(b12.value)
+
+
+def check_A_squared(b, b_AA):
+    """A^2 = -1 on the averaged form: B_G(f1, A A f2) = -B_G(f1, f2), up to the errors."""
+    gap = abs(b_AA.value + b.value)
+    assert gap <= b.error_estimate + b_AA.error_estimate + 1e-13 * abs(b.value)
+
+
 def check_complex_structure(b, b_A):
     """mu_G(f1, A f2) = Omega_G(f1, f2) / 2, from b = B_G(f1, f2) and b_A = B_G(f1, A f2).
 
@@ -783,6 +798,36 @@ class TestReducedStateProperties:
         check_complex_structure(reduced_average(f1, f2, quad),
                                 reduced_average(f1, apply_A(f2), quad))
 
+    @given(pair=circle_pairs())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_circle_omega_antisymmetry(self, pair):
+        f1, f2 = pair
+        quad = QuadratureConfig()
+        check_omega_antisymmetry(average_bform_circle(f1, f2, quad),
+                                 average_bform_circle(f2, f1, quad))
+
+    @given(f1=s0_fields(), f2=s0_fields())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_bhp_omega_antisymmetry(self, f1, f2):
+        quad = QuadratureConfig(n_max=6)
+        check_omega_antisymmetry(reduced_average(f1, f2, quad),
+                                 reduced_average(f2, f1, quad))
+
+    @given(pair=circle_pairs())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_circle_A_squared_is_minus_one(self, pair):
+        f1, f2 = pair
+        quad = QuadratureConfig()
+        check_A_squared(average_bform_circle(f1, f2, quad),
+                        average_bform_circle(f1, apply_A(apply_A(f2)), quad))
+
+    @given(f1=s0_fields(), f2=s0_fields())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_bhp_A_squared_is_minus_one(self, f1, f2):
+        quad = QuadratureConfig(n_max=6)
+        check_A_squared(reduced_average(f1, f2, quad),
+                        reduced_average(f1, apply_A(apply_A(f2)), quad))
+
 
 class TestPoisson:
     def test_gaussian_rhs_value(self):
@@ -869,3 +914,33 @@ class TestZeroModeProbe:
         assert all(b > a for a, b in zip(vals, vals[1:]))
         ratios = [vals[i + 1] / vals[i] for i in range(len(vals) - 1)]
         assert min(ratios) > 1.2   # growth stays bounded away from saturation
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_slope_is_the_zero_mode_constant(self, index):
+        # at large |alpha| the integrand tends to a constant, the k_y integral
+        # of a(0, k_y, 0) / sqrt|k_y| that also gives A_0
+        f = load_corpus(generate_corpus(42, 6))[index]
+        p40, p80 = zero_mode_divergence_probe(f, (40.0, 80.0))
+        a0 = project_bhp(f, QuadratureConfig(n_max=1)).entries[0]
+        predicted = abs(np.sqrt(2.0) * a0.imag) / (4.0 * np.pi ** 2)
+        assert (p80 - p40) / 40.0 == pytest.approx(predicted, rel=1e-6)
+
+    def test_k_y_mirror_gives_the_same_probe(self, rng):
+        f = random_field(rng, mass=0.0, n_terms=2)
+        mirror = FieldVector(0.0, tuple(
+            GaussianPacket(t.center * np.array([1.0, -1.0, 1.0]), t.width, t.coeff)
+            for t in f.terms))
+        cutoffs = (5.0, 10.0, 20.0)
+        assert zero_mode_divergence_probe(mirror, cutoffs) == pytest.approx(
+            zero_mode_divergence_probe(f, cutoffs), rel=1e-14)
+
+    def test_capped_ladder_raises(self, rng):
+        f = random_field(rng, mass=0.0)
+        with mock.patch.object(quadrature, "GL_CAP", 24):
+            with pytest.raises(QuadratureError, match="zero-mode probe"):
+                zero_mode_divergence_probe(f, (5.0, 10.0))
+
+    @pytest.mark.parametrize("cutoffs", [(5.0, 5.0), (10.0, 5.0), (0.0, 5.0), (-5.0,)])
+    def test_cutoffs_must_increase(self, rng, cutoffs):
+        with pytest.raises(ValueError, match="increasing"):
+            zero_mode_divergence_probe(random_field(rng, mass=0.0), cutoffs)

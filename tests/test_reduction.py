@@ -18,6 +18,7 @@ from ccr_reduce import (
     gowdy_forms,
     gowdy_from_sequence,
     gowdy_value,
+    hankel2_0,
     null_space_analysis,
     project_axisymmetric,
     project_bhp,
@@ -351,6 +352,16 @@ class TestGowdy:
         p = GowdySolution({1: 1.0 + 0j, -1: 0.0 + 0j}, 0j)
         expected = bessel_j0(1.0) / np.sqrt(2.0)
         assert gowdy_value(p, 1.0, 0.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_value_matches_per_mode_sum(self, rng):
+        # a_n != a_-n and a zero mode; the reference sums every n on its own
+        n_max, tau, sigma = 6, 0.8, 1.3
+        coeffs = {n: complex(*rng.normal(size=2)) for n in range(-n_max, n_max + 1) if n}
+        a0 = complex(*rng.normal(size=2))
+        p = GowdySolution(coeffs, a0)
+        osc = sum(a * hankel2_0(abs(n) * tau) * np.exp(1j * n * sigma) for n, a in coeffs.items())
+        expected = (a0 * (1.0 - 1j * np.log(tau))).real / np.sqrt(np.pi) + osc.real / np.sqrt(2.0)
+        assert gowdy_value(p, tau, sigma) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
     def test_zero_mode_undefined(self, rng):
         s = project_bhp(random_field(rng, mass=0.0), QuadratureConfig(n_max=3))
