@@ -17,9 +17,6 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
-# numpy loads its polynomial package lazily; importing the rule here keeps
-# that load in the package import instead of in the first integral
-from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError
 
@@ -103,11 +100,88 @@ RADIAL_CEILING = 1000
 TENSOR_CAP = 320
 GL_CAP = 1024
 _MIN_WIDTH = 1e-3
+# Gauss-Legendre rules: the largest (nodes x series terms) block one Newton
+# sweep builds, and the sweeps allowed before a rule counts as unconverged
+GL_BLOCK = 2 ** 18
+GL_SWEEPS = 20
+
+
+def _legendre_series(theta: Array, a: Array, m: Array, scale: float):
+    """P_n(cos theta) and -dP_n/dtheta from the cosine series sum_j a_j cos(m_j theta).
+
+    theta = hi + lo with hi a multiple of 1 / scale: scale keeps m_j hi
+    exact, so cos and sin see exact arguments, and the small m_j lo enters
+    to first order (its square stays below 1e-16 for n < 8192).  Rounding
+    m_j theta instead would err by up to n ulp(theta) in the argument,
+    about 1e-12 in the weights at n = 1024.
+    """
+    hi = np.round(theta * scale) / scale
+    lo = theta - hi
+    arg = np.multiply.outer(hi, m)
+    c = np.cos(arg)
+    s = np.sin(arg, out=arg)
+    am = a * m
+    s_am = s @ am
+    return c @ a - lo * s_am, s_am + lo * (c @ (am * m))
 
 
 @lru_cache(maxsize=128)
 def _leggauss(n: int):
-    return leggauss(int(n))
+    """Gauss-Legendre nodes (ascending) and weights of order n on [-1, 1].
+
+    Newton's method in theta = arccos(x) on the Fourier series
+    P_n(cos theta) = sum_k c_k c_(n-k) cos((n - 2k) theta), with
+    c_k = binom(2k, k) / 4^k (Swarztrauber, SIAM J. Sci. Comput. 24(3),
+    2002): all its coefficients are positive, so it is stable, and a sweep
+    costs O(n) per node.  The half rule starts from Tricomi's asymptotic
+    nodes, and each node stops at |step| <= 1e-10, where the quadratic
+    convergence leaves it at roundoff; the weights 2 / (dP/dtheta)^2 carry no
+    1 - x^2 cancellation.  Blocks of nodes keep every temporary within
+    GL_BLOCK entries.  The cached arrays are read-only, since every caller
+    of a size shares them.  Raises ValueError for n < 1 and QuadratureError
+    when a block has not converged after GL_SWEEPS sweeps.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("a Gauss-Legendre rule needs n >= 1 nodes")
+    j = np.arange(1, n + 1)
+    c = np.concatenate(([1.0], np.cumprod((2 * j - 1) / (2 * j))))
+    k = np.arange(n // 2 + 1)
+    m = n - 2 * k
+    # the terms k and n - k share cos(m theta); m = 0 (n even) appears once
+    a = np.where(m > 0, 2.0, 1.0) * c[k] * c[n - k]
+    # theta < 2 rounded to a multiple of 1 / scale, times m <= n, is an
+    # integer multiple of 1 / scale below 2^53 / scale: an exact product
+    scale = 2.0 ** (52 - n.bit_length())
+    # nodes x_1 > x_2 > ... >= 0; for odd n the last one is the middle node
+    i = np.arange(1, (n + 1) // 2 + 1)
+    t0 = np.pi * (4 * i - 1) / (4 * n + 2)
+    theta = t0 + np.cos(t0) / (8.0 * n * n * np.sin(t0))
+    slope = np.empty_like(theta)
+    rows = max(1, GL_BLOCK // m.size)
+    for first in range(0, theta.size, rows):
+        t = theta[first:first + rows]
+        # a node whose step fell to 1e-10 is at roundoff and leaves the sweeps
+        active = np.arange(t.size)
+        for _ in range(GL_SWEEPS):
+            p, s = _legendre_series(t[active], a, m, scale)
+            step = p / s
+            t[active] += step
+            active = active[np.abs(step) > 1e-10]
+            if active.size == 0:
+                break
+        else:
+            raise QuadratureError(f"Gauss-Legendre nodes of order {n} did not converge")
+        slope[first:first + rows] = _legendre_series(t, a, m, scale)[1]
+    x = np.cos(theta)
+    if n % 2:
+        x[-1] = 0.0
+    w = 2.0 / (slope * slope)
+    nodes = np.concatenate((-x[:n // 2], x[::-1]))
+    weights = np.concatenate((w[:n // 2], w[::-1]))
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def gl_nodes(n: int, a: float, b: float):

@@ -132,7 +132,9 @@ class TestCliProcess:
         # importing scipy.integrate took about 0.6 s and 50 MB of every CLI
         # process's set-up on a 2-core x86 box, and numpy.fft about 5.6 ms;
         # the package needs numpy alone, also in the three functions that
-        # used to call scipy and in the Faddeeva function of a boosted bform
+        # used to call scipy and in the Faddeeva function of a boosted bform.
+        # numpy loads numpy.polynomial lazily, and the package builds its own
+        # Gauss-Legendre rules, so that submodule stays out as well
         code = ("import sys, numpy as np\n"
                 "import ccr_reduce.cli\n"
                 "from ccr_reduce import BHPElement, FieldVector, GaussianPacket, "
@@ -142,7 +144,7 @@ class TestCliProcess:
                 "substitution_check(lambda x: np.exp(-0.5 * x * x), 12.0)\n"
                 "bform(f, apply_group(BHPElement(1, 0.5, 0.8), f))\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-                " or m.startswith('numpy.fft')))\n")
+                " or m.startswith(('numpy.fft', 'numpy.polynomial'))))\n")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"

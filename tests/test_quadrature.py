@@ -1,0 +1,136 @@
+"""Gauss-Legendre rules of quadrature._leggauss against independent oracles."""
+
+import mpmath
+import numpy as np
+import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_legendre
+
+from ccr_reduce import QuadratureError, quadrature
+from ccr_reduce.quadrature import GL_BLOCK, _leggauss
+
+
+def first_split_order() -> int:
+    """The smallest n whose half rule needs two node blocks."""
+    n = 1
+    while (n + 1) // 2 <= GL_BLOCK // (n // 2 + 1):
+        n += 1
+    return n
+
+
+SPLIT = first_split_order()
+SIZES = sorted({1, 2, 3, 4, 5, 16, 47, 120, 263, 376, 640, 1000, 1024, SPLIT, SPLIT + 1})
+
+
+def mp_node_and_weight(n: int, x0: float):
+    """Node near x0 and its weight 2 / ((1 - x^2) P_n'(x)^2) at 40 digits.
+
+    Newton on the three-term recurrence of P_n; three steps from a double
+    node reach the working precision, so the derivative of the last step
+    serves the weight.
+    """
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x0)
+        for _ in range(4):
+            p0, p1 = mpmath.mpf(1), x
+            for k in range(1, n):
+                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            x -= p1 / dp
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def longdouble_rule(n: int, x0):
+    """All nodes and weights by Newton on the recurrence in extended precision."""
+    x = np.asarray(x0, dtype=np.longdouble)
+    for _ in range(4):
+        p0, p1 = np.ones_like(x), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        dp = n * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+class TestGaussLegendreRule:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_nodes_match_numpy_and_scipy(self, n):
+        x, _ = _leggauss(n)
+        assert np.max(np.abs(x - leggauss(n)[0])) <= 4e-16
+        assert np.max(np.abs(x - roots_legendre(n)[0])) <= 4e-16
+
+    @pytest.mark.parametrize("n", [n for n in SIZES if n > 1])
+    def test_weights_vs_mpmath(self, n):
+        x, w = _leggauss(n)
+        for i in sorted({0, n // 4, n // 2, n - 1}):
+            xm, wm = mp_node_and_weight(n, float(x[i]))
+            assert abs(float(x[i] - xm)) <= 2e-16, (i, x[i])
+            assert abs(float(w[i] / wm - 1)) <= 1e-13, (i, x[i])
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("n", [47, 263, 640, 1000, 1024, SPLIT + 1])
+    def test_every_weight_vs_extended_precision(self, n):
+        # every node, not only the edges, the quarter and the middle: the
+        # interior is where a rounded argument m theta costs the most
+        x, w = _leggauss(n)
+        xr, wr = longdouble_rule(n, x)
+        assert float(np.max(np.abs(x - xr))) <= 2.5e-16
+        assert float(np.max(np.abs(w / wr - 1))) <= 1e-13
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_even_monomials_exact(self, n):
+        x, w = _leggauss(n)
+        j = np.arange(n)
+        got = np.sum(w[:, None] * x[:, None] ** (2 * j), axis=0)
+        np.testing.assert_allclose(got, 2.0 / (2 * j + 1), rtol=5e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_symmetric_ascending_with_exact_middle(self, n):
+        x, w = _leggauss(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        np.testing.assert_array_equal(x[::-1], -x)
+        np.testing.assert_array_equal(w[::-1], w)
+        if n % 2:
+            assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+
+    def test_one_node(self):
+        x, w = _leggauss(1)
+        np.testing.assert_array_equal(x, [0.0])
+        np.testing.assert_array_equal(w, [2.0])
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_order_below_one_rejected(self, n):
+        with pytest.raises(ValueError):
+            _leggauss(n)
+
+    def test_cached_rule_is_read_only(self):
+        x, w = _leggauss(16)
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+        # a caller's scaled copy stays writable
+        xs, ws = quadrature.gl_nodes(16, 0.0, 3.0)
+        xs[0] = 0.0
+        np.testing.assert_array_equal(_leggauss(16)[0], _leggauss.__wrapped__(16)[0])
+
+    @pytest.mark.parametrize("n", [2, 47, 1023, SPLIT, 3000])
+    def test_temporaries_within_block_bound(self, monkeypatch, n):
+        sizes = []
+        series = quadrature._legendre_series
+
+        def recording(theta, a, m, scale):
+            sizes.append(theta.size * m.size)
+            return series(theta, a, m, scale)
+
+        monkeypatch.setattr(quadrature, "_legendre_series", recording)
+        # the unwrapped function: a cached rule would skip the sweeps
+        _leggauss.__wrapped__(n)
+        assert max(sizes) <= GL_BLOCK
+
+    def test_unconverged_rule_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "GL_SWEEPS", 1)
+        with pytest.raises(QuadratureError):
+            _leggauss.__wrapped__(16)
