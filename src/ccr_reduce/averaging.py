@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ZeroModeDivergenceError
 from .forms import FormValue, _affine_pair, _ball_form, _closed_pair, _sphere_form
 from .groups import BHPElement, _rotation_matrix, apply_group, inverse
-from .modes import FieldVector, rays_at, zero_mode_slice
+from .modes import FieldVector, _dot, lorentz_apply, momentum_norm, rays_at, zero_mode_slice
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -188,13 +188,14 @@ def bhp_reduced_integrand(f1: FieldVector, f2: FieldVector, g: BHPElement,
     if f1.is_zero or f2.is_zero:
         return FormValue(0.0 + 0.0j, 0.0)
 
+    L, t = g.poincare()
+
     def pair_rows(D):
-        # the directions are unit, so |Ld| / |d| is the |Ld| push_forward returns
+        # the directions are unit, so |Ld| / |d| is |Ld|, and |d| = 1 enters L
         dx, dy, dz = D[..., 0], D[..., 1], D[..., 2]
-        lx, ly, lz, wf = g.push_forward(dx, dy, dz, 1.0)
-        log_root = 0.5 * np.log(wf)
-        theta = g.phase_at(dx, dy, dz)
-        theta = 0.0 if theta is None else theta
+        lx, ly, lz = lorentz_apply(L, 1.0, dx, dy, dz)
+        log_root = 0.5 * np.log(momentum_norm(lx, ly, lz))
+        theta = _dot(t, (dx, dy, dz)) if t.any() else 0.0
         rows2 = [(c, h, r0, lead + log_root, th + theta) for c, h, r0, lead, th in f2.on_rays(D)]
         return f1.on_rays(np.stack((lx, ly, lz), axis=-1)), rows2
 

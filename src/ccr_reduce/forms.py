@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MassMismatchError, NegativeFormError
-from .modes import FieldVector, add, scale
+from .modes import FieldVector, add, fold, scale
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, ShellFactory, adaptive_sphere,
                          adaptive_spherical, bounding_radius)
 from .specfun import faddeeva
@@ -57,21 +57,18 @@ class WeylWord:
 def _affine_of_term(term):
     """Fold a term into (coeff, M, b, phi) with a(k) = c exp(-(k-b)M(k-b)/2 + i phi.k).
 
-    Returns None when the chain contains a boost, whose frequency factor is
-    not Gaussian-affine.
+    M = Lam M0 Lam^T and b = Lam b0 with Lam the spatial block of the fold's
+    forward map, and phi = phase[1:].  None for a boosted chain, whose
+    frequency factor is not Gaussian-affine.
     """
     base = term.base
-    M = np.diag(1.0 / base.width**2)
-    b = base.center.copy()
-    phi = np.zeros(3)
-    for g in reversed(term.chain):  # innermost action first
-        parts = g.affine_parts()
-        if parts is None:
+    M, b, phi = np.diag(1.0 / base.width**2), base.center, np.zeros(3)
+    if term.chain:
+        f = fold(term.chain)
+        if f.boosted:
             return None
-        lam, theta = parts
-        M = lam @ M @ lam.T
-        b = lam @ b
-        phi = lam @ phi + theta
+        lam = f.forward[1:, 1:]
+        M, b, phi = lam @ M @ lam.T, lam @ b, f.phase[1:]
     return base.coeff, M, b, phi
 
 
@@ -158,22 +155,21 @@ def _sphere_form(pair_rows, f1: FieldVector, f2: FieldVector,
 
     The ladder of quadrature.adaptive_sphere is sized from the pair, whose
     amplitudes are those of f1 and f2 as functions of the direction.  A term
-    of smallest width w, centre c and summed |rapidity| A subtends at least
-    w e^-A / max(|c|, w) at k = 0: a boost moves the centre by up to a
-    factor e^A but keeps the transverse width.  The phase of the integrand
-    has a frequency of at most the sum, over both fields, of the largest
-    summed |phase_vector| of a term's chain, and it turns by that times R
-    over the sphere, with R the largest e^A (|c| + w).
+    of smallest width w and centre c, whose chain's fold stretches |k| by at
+    most s, subtends at least w / (s max(|c|, w)) at k = 0: a boost moves
+    the centre by up to a factor s but keeps the transverse width.  The
+    phase of the integrand has a frequency of at most the sum, over both
+    fields, of the largest |spatial part| of a term's phase covector, and it
+    turns by that times R over the sphere, with R the largest s (|c| + w).
     """
     angle, reach, freq = np.inf, 0.0, 0.0
     for f in (f1, f2):
         for t in f.terms:
-            A = sum(abs(g.total_rapidity()) for g in t.chain)
+            s = fold(t.chain).stretch
             w, c = float(np.min(t.base.width)), float(np.linalg.norm(t.base.center))
-            angle = min(angle, w * np.exp(-A) / max(c, w))
-            reach = max(reach, np.exp(A) * (c + w))
-        freq += max(sum(np.linalg.norm(pv) for pv in (g.phase_vector() for g in t.chain)
-                        if pv is not None) for t in f.terms)
+            angle = min(angle, w / s / max(c, w))
+            reach = max(reach, s * (c + w))
+        freq += max(np.linalg.norm(fold(t.chain).phase[1:]) for t in f.terms)
     return FormValue(*adaptive_sphere(lambda D: _ray_integrals(*pair_rows(D)), quad, angle,
                                       freq * reach))
 
@@ -196,11 +192,16 @@ def bform(f1: FieldVector, f2: FieldVector,
           quad: QuadratureConfig = DEFAULT_CONFIG) -> FormValue:
     """B(f1, f2) = integral of conj(a1) a2 over momentum space.
 
-    Closed form whenever both fields are free of boosts.  Otherwise each
-    ray's radial integral is closed form (_ray_integrals), and an adaptive
+    When every term of both fields carries one and the same chain, the
+    pair is taken in its own frame, on the base packets.  Closed form
+    whenever both fields are then free of boosts.  Otherwise each ray's
+    radial integral is closed form (_ray_integrals), and an adaptive
     angular ladder (_sphere_form) integrates over directions with an error
     estimate.
     """
+    if len(f1.by_chain) == len(f2.by_chain) == 1 and f1.by_chain[0][0] == f2.by_chain[0][0] != ():
+        # B(Phi_h x, Phi_h y) = B(x, y): a chain that both sides share drops out
+        f1, f2 = (FieldVector(f.mass, f.by_chain[0][1]) for f in (f1, f2))
     folded = _affine_pair(f1, f2)
     if f1.is_zero or f2.is_zero:
         return FormValue(0.0 + 0.0j, 0.0)

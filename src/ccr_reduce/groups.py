@@ -1,18 +1,19 @@
-"""Group elements, the Haar scale, and actions on field amplitudes.
+"""Group elements and their actions on field amplitudes.
 
 Two groups are implemented: S^1 acting by rotations about the z axis (any
 mass), and Z x R^2 acting on the massless theory by discrete x-translations
-by multiples of 2*pi, boosts along y, and z-translations.  Both act on
-amplitudes by
+by multiples of 2*pi, boosts along y, and z-translations.  Both lie in the
+Poincare group: g.poincare() returns the Lorentz matrix L_g on the massless
+4-momentum (|k|, k) (a rotation of (k_x, k_y), or the hyperbolic rotation of
+(|k|, k_y)) and the phase vector t_g = (2*pi*n, 0, beta), and g acts by
 
-    (Phi_g a)(k) = exp(i theta_g(k)) sqrt(w(L_g^-1 k) / w(k)) a(L_g^-1 k),
+    (Phi_g a)(k) = exp(i t_g . k) sqrt(w(L_g^-1 k) / w(k)) a(L_g^-1 k).
 
-with theta_g(k) = 2*pi*n*k_x + beta*k_z and L_g the momentum map (a rotation,
-or the hyperbolic rotation of (w, k_y)).  The square-root factor keeps the
-invariant measure d^3k / 2w fixed, which is what makes the symplectic form
-and the vacuum inner product invariant.  No momentum map takes a mass:
-rotations keep |k|, and boosts act on the massless field only, so the
-boost uses w = |k|.
+The square-root factor keeps the invariant measure d^3k / 2w fixed, which
+is what makes the symplectic form and the vacuum inner product invariant.
+A chain of actions is one Lorentz matrix and one phase covector (modes.fold).
+Rotations keep |k| and boosts act on the massless field only, so no
+momentum map takes a mass.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from .errors import GroupMismatchError
-from .modes import FieldVector, GaussianPacket, TransformedPacket, momentum_norm
+from .modes import FieldVector, GaussianPacket, TransformedPacket, fold, lorentz_map
 
 TWO_PI = 2.0 * np.pi
 
@@ -37,17 +38,6 @@ def _rotation_matrix(angle) -> np.ndarray:
     return R
 
 
-def _turn(angle, kx, ky, kz, w):
-    c, s = np.cos(angle), np.sin(angle)
-    return c * kx - s * ky, s * kx + c * ky, kz, w
-
-
-def _stacked(move, K) -> np.ndarray:
-    """A component map (pull_back or push_forward) applied to stacked momenta (..., 3)."""
-    K = np.asarray(K, float)
-    return np.stack(move(K[..., 0], K[..., 1], K[..., 2], None)[:3], axis=-1)
-
-
 @dataclass(frozen=True)
 class RotationElement:
     """Rotation about the z axis by `angle`, taken mod 2*pi."""
@@ -59,34 +49,14 @@ class RotationElement:
             raise ValueError("rotation angle must be finite")
         object.__setattr__(self, "angle", float(self.angle) % TWO_PI)
 
-    @property
-    def involves_boost(self) -> bool:
-        return False
-
-    def total_rapidity(self) -> float:
-        return 0.0
-
-    def phase_vector(self):
-        return None
-
-    def phase_at(self, kx, ky, kz):
-        return None
-
-    def matrix(self) -> np.ndarray:
-        return _rotation_matrix(self.angle)
-
-    def pull_back(self, kx, ky, kz, w):
-        """Components of R^-1 k = R^T k; |k| = w is unchanged (None stays None)."""
-        return _turn(-self.angle, kx, ky, kz, w)
-
-    def push_forward(self, kx, ky, kz, w):
-        return _turn(self.angle, kx, ky, kz, w)
+    def poincare(self):
+        """(L, t): the Lorentz matrix on (|k|, k_x, k_y, k_z) and the phase vector (zero)."""
+        L = np.eye(4)
+        L[1:, 1:] = _rotation_matrix(self.angle)
+        return L, np.zeros(3)
 
     def forward_momentum_map(self, K):
-        return _stacked(self.push_forward, K)
-
-    def affine_parts(self):
-        return _rotation_matrix(self.angle), np.zeros(3)
+        return lorentz_map(fold((self,)).forward, K)
 
     def is_identity(self) -> bool:
         return self.angle <= 1e-15 or TWO_PI - self.angle <= 1e-15
@@ -116,48 +86,19 @@ class BHPElement:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
 
-    @property
-    def involves_boost(self) -> bool:
-        return self.alpha != 0.0
-
-    def total_rapidity(self) -> float:
-        return self.alpha
-
-    def phase_vector(self):
-        return np.array([TWO_PI * self.n, 0.0, self.beta])
-
-    def phase_at(self, kx, ky, kz):
-        """theta_g(k) = 2 pi n k_x + beta k_z, or None when both terms vanish."""
-        if self.n == 0 and self.beta == 0.0:
-            return None
-        return TWO_PI * self.n * kx + self.beta * kz
-
-    def _boost(self, kx, ky, kz, w, sign: float):
-        # k_y -> k_y cosh(alpha) + sign |k| sinh(alpha); the new |k| comes back with it
-        if self.alpha == 0.0:
-            return kx, ky, kz, w
-        if w is None:
-            w = momentum_norm(kx, ky, kz)
-        ky = ky * np.cosh(self.alpha) + sign * w * np.sinh(self.alpha)
-        return kx, ky, kz, momentum_norm(kx, ky, kz)
-
-    def pull_back(self, kx, ky, kz, w):
-        """Components of L^-1 k and its |k|, given w = |k| (or None to compute it)."""
-        return self._boost(kx, ky, kz, w, +1.0)
-
-    def push_forward(self, kx, ky, kz, w):
-        return self._boost(kx, ky, kz, w, -1.0)
+    def poincare(self):
+        """(L, t): the boost of (|k|, k_y) by alpha, and the phase vector (2 pi n, 0, beta)."""
+        ch, sh = np.cosh(self.alpha), np.sinh(self.alpha)
+        L = np.eye(4)
+        L[0, 0] = L[2, 2] = ch
+        L[0, 2] = L[2, 0] = -sh
+        return L, np.array([TWO_PI * self.n, 0.0, self.beta])
 
     def inverse_momentum_map(self, K):
-        return _stacked(self.pull_back, K)
+        return lorentz_map(fold((self,)).pull, K)
 
     def forward_momentum_map(self, K):
-        return _stacked(self.push_forward, K)
-
-    def affine_parts(self):
-        if self.alpha != 0.0:
-            return None
-        return np.eye(3), self.phase_vector()
+        return lorentz_map(fold((self,)).forward, K)
 
     def is_identity(self) -> bool:
         return self.n == 0 and abs(self.alpha) <= 1e-15 and abs(self.beta) <= 1e-15
@@ -200,7 +141,7 @@ def apply_group(g: GroupElement, f: FieldVector) -> FieldVector:
     for t in f.terms:
         if isinstance(g, RotationElement) and not t.chain and t.width[0] == t.width[1]:
             # xy-isotropic Gaussian: rotating the center is exact
-            new_terms.append(GaussianPacket(g.matrix() @ t.center, t.width, t.coeff))
+            new_terms.append(GaussianPacket(g.forward_momentum_map(t.center), t.width, t.coeff))
         else:
             new_terms.append(TransformedPacket(t.base, (g,) + t.chain))
     return FieldVector(f.mass, tuple(new_terms))

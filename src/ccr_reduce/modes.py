@@ -10,6 +10,8 @@ amplitude Schwartz-class by construction and admits closed-form overlaps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,34 +38,81 @@ def omega_of(K: Array, mass: float) -> Array:
     return momentum_norm(K[..., 0], K[..., 1], K[..., 2], mass)
 
 
+class Fold(NamedTuple):
+    """An action chain g_1 ... g_m (outermost first) as one map of p = (|k|, k).
+
+    With (L_i, t_i) = g_i.poincare(): pull = L_m^-1 ... L_1^-1, forward =
+    L_1 ... L_m, and theta(k) = phase . p with phase = sum_i (L_<i^-1)^T (0, t_i),
+    as each element adds its phase at the momentum it receives.  Both maps
+    scale |k| by between 1 / stretch and stretch = e^rho, cosh(rho) = pull[0, 0].
+    """
+
+    pull: np.ndarray
+    forward: np.ndarray
+    phase: np.ndarray
+    boosted: bool
+    stretch: float
+
+
+@lru_cache(maxsize=4096)
+def fold(chain) -> Fold:
+    """The chain's Fold, with each L^-1 the matrix of the inverse element, not a computed one."""
+    from .groups import inverse  # local import avoids a cycle at module load
+
+    pull, forward, phase, boosted = np.eye(4), np.eye(4), np.zeros(4), False
+    for g in chain:
+        L, t = g.poincare()
+        phase = phase + pull.T @ np.concatenate(([0.0], t))
+        pull = inverse(g).poincare()[0] @ pull
+        forward = forward @ L
+        boosted = boosted or bool(L[0, 1:].any())
+    for a in (pull, forward, phase):
+        a.setflags(write=False)
+    return Fold(pull, forward, phase, boosted, float(pull[0, 0] + np.linalg.norm(pull[0, 1:])))
+
+
+def _dot(coeffs, comps):
+    """sum_j coeffs[j] comps[j] over the nonzero coefficients; a unit one passes its component.
+
+    A component may be None where its coefficient is 0.
+    """
+    terms = [x if a == 1.0 else a * x for a, x in zip(coeffs, comps) if a != 0.0]
+    return sum(terms[1:], terms[0])
+
+
+def lorentz_apply(M, w, kx, ky, kz):
+    """Components of the spatial part of M (w, k_x, k_y, k_z); w may be None if M[1:, 0] is 0."""
+    comps = (w, kx, ky, kz)
+    return _dot(M[1], comps), _dot(M[2], comps), _dot(M[3], comps)
+
+
+def lorentz_map(M, K):
+    """The spatial part of M (|k|, k) for stacked massless momenta K of shape (..., 3)."""
+    K = np.asarray(K, dtype=float)
+    kx, ky, kz = K[..., 0], K[..., 1], K[..., 2]
+    w = momentum_norm(kx, ky, kz) if M[1:, 0].any() else None
+    return np.stack(lorentz_apply(M, w, kx, ky, kz), axis=-1)
+
+
 def pull_back_chain(chain, kx, ky, kz):
-    """Pull the momenta (kx, ky, kz) back through an action chain.
+    """Pull the momenta (kx, ky, kz) back through an action chain, as its fold says.
 
     chain is ordered outermost-first, as in TransformedPacket.  Returns the
-    components of L_chain^-1 k, at which the base packets are evaluated, the
-    summed phase theta(k) and the root sqrt(w(L^-1 k) / w(k)) of the
-    frequency ratio; theta is None when no element has a phase, and the root
-    None when none boosts.  Every element adds its phase at the momentum
-    it receives; |k| is computed once, at the first boost, and each boost
-    hands its new |k| on, so the frequency ratios telescope to the last |k|
-    over the first (ratio 1 at k = 0, which every map fixes).  Every map and
-    |k| are homogeneous of degree one in k and every phase is linear, so on
-    a ray k = r d the pulled-back momentum and theta scale with r and the
-    root depends on d alone.
+    components of L^-1 k, at which the base packets are evaluated, the phase
+    theta(k) (None without a phase) and the root sqrt(w(L^-1 k) / w(k)) of
+    the frequency ratio (None without a boost; 1 at k = 0, which every map
+    fixes).  On a ray k = r d the pulled-back momentum and theta scale with
+    r and the root depends on d alone.
     """
-    theta = None
-    w0 = w = None
-    for g in chain:
-        th = g.phase_at(kx, ky, kz)
-        if th is not None:
-            theta = th if theta is None else theta + th
-        if w is None and g.involves_boost:
-            w0 = w = momentum_norm(kx, ky, kz)
-        kx, ky, kz, w = g.pull_back(kx, ky, kz, w)
-    root = None
-    if w0 is not None:
-        root = np.sqrt(np.where(w0 > 0.0, w / np.maximum(w0, 1e-300), 1.0))
-    return kx, ky, kz, theta, root
+    if not chain:
+        return kx, ky, kz, None, None
+    f = fold(chain)
+    w = momentum_norm(kx, ky, kz) if f.boosted else None
+    qx, qy, qz = lorentz_apply(f.pull, w, kx, ky, kz)
+    theta = _dot(f.phase, (w, kx, ky, kz)) if f.phase.any() else None
+    root = (np.sqrt(np.where(w > 0.0, momentum_norm(qx, qy, qz) / np.maximum(w, 1e-300), 1.0))
+            if f.boosted else None)
+    return qx, qy, qz, theta, root
 
 
 def map_chain(chain, kx, ky, kz):
@@ -134,10 +183,6 @@ class GaussianPacket:
     def base(self) -> "GaussianPacket":
         return self
 
-    @property
-    def has_boost(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class TransformedPacket:
@@ -160,37 +205,30 @@ class TransformedPacket:
     def z_factors(self, kx, ky, kz):
         """The amplitude as X(k_x, k_y) * Z(k_z), for a chain without boosts.
 
-        Rotations about z and unboosted BHP elements leave k_z fixed, so each
-        linear phase splits into its (k_x, k_y) part and beta * k_z; a boost
+        A boost-free fold turns (k_x, k_y) about the z axis and keeps k_z, so
+        its phase splits into its (k_x, k_y) part and phase[3] k_z; a boost
         mixes k_z into the frequency and does not factorise.
         """
-        if self.has_boost:
+        f = fold(self.chain)
+        if f.boosted:
             raise ValueError("a boosted term does not factorise into xy and k_z parts")
         # the chain acts on (k_x, k_y, 0), so its phase is the xy phase alone
         qx, qy, _, factor = map_chain(self.chain, kx, ky, 0.0)
-        beta = sum(pv[2] for pv in (g.phase_vector() for g in self.chain) if pv is not None)
         x, z = self.base.z_factors(qx, qy, kz)
-        if factor is not None:
-            x = x * factor
-        return x, z * np.exp(1j * beta * np.asarray(kz))
+        return x if factor is None else x * factor, z * np.exp(1j * f.phase[3] * np.asarray(kz))
 
     def box(self):
         lo, hi = self.base.box()
         grids = np.meshgrid(*[np.linspace(lo[i], hi[i], 7) for i in range(3)], indexing="ij")
         pts = np.stack(grids, axis=-1).reshape(-1, 3)
         # support of the transformed amplitude is the forward image of the base box
-        for g in reversed(self.chain):
-            pts = g.forward_momentum_map(pts)
+        pts = lorentz_map(fold(self.chain).forward, pts)
         lo_m, hi_m = pts.min(axis=0), pts.max(axis=0)
         pad = 0.12 * (hi_m - lo_m) + 0.3
         return lo_m - pad, hi_m + pad
 
     def scaled(self, c: complex) -> "TransformedPacket":
         return TransformedPacket(self.base.scaled(c), self.chain)
-
-    @property
-    def has_boost(self) -> bool:
-        return any(g.involves_boost for g in self.chain)
 
 
 @dataclass(frozen=True)
@@ -207,12 +245,12 @@ class FieldVector:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not (np.isfinite(self.mass) and self.mass >= 0):
             raise ValueError("mass must be finite and nonnegative")
-        if self.mass != 0.0 and self.has_boost:
-            raise MassMismatchError("boosts are implemented for the massless theory only")
         groups = {}
         for t in self.terms:
             groups.setdefault(t.chain, []).append(t.base)
         object.__setattr__(self, "by_chain", tuple((c, tuple(b)) for c, b in groups.items()))
+        if self.mass != 0.0 and self.has_boost:
+            raise MassMismatchError("boosts are implemented for the massless theory only")
 
     def amplitude(self, K: Array) -> Array:
         """a(k) for stacked momenta K of shape (..., 3); the result has shape (...).
@@ -273,7 +311,7 @@ class FieldVector:
 
     @property
     def has_boost(self) -> bool:
-        return any(t.has_boost for t in self.terms)
+        return any(fold(c).boosted for c, _ in self.by_chain)
 
     def support_box(self):
         if not self.terms:
@@ -283,31 +321,16 @@ class FieldVector:
 
     def term_centers(self) -> np.ndarray:
         """Packet centers mapped through their action chains, shape (n, 3)."""
-        out = []
-        for t in self.terms:
-            c = t.base.center.reshape(1, 3)
-            for g in reversed(t.chain):
-                c = g.forward_momentum_map(c)
-            out.append(c[0])
-        return np.array(out) if out else np.zeros((0, 3))
+        return np.reshape([lorentz_map(fold(t.chain).forward, t.base.center) if t.chain
+                           else t.base.center for t in self.terms], (-1, 3))
 
     def max_width(self) -> float:
-        best = 0.0
-        for t in self.terms:
-            best = max(best, float(np.max(t.base.width)))
-        return best if best > 0 else 1.0
+        return max((float(np.max(t.base.width)) for t in self.terms), default=1.0)
 
     def min_width(self) -> float:
-        """Smallest packet width, shrunk by boost compression where present.
-
-        Used to pick quadrature resolutions; boosts compress momentum-space
-        features by up to exp(-|alpha|).
-        """
-        best = np.inf
-        for t in self.terms:
-            squeeze = np.exp(-sum(abs(g.total_rapidity()) for g in t.chain))
-            best = min(best, float(np.min(t.base.width)) * squeeze)
-        return best if np.isfinite(best) else 1.0
+        """Smallest packet width over its fold's stretch, the most a chain compresses it."""
+        return min((float(np.min(t.base.width)) / fold(t.chain).stretch for t in self.terms),
+                   default=1.0)
 
     def is_zero_mode_free(self) -> bool:
         """True when the amplitude vanishes on the line k = (0, k_y, 0).
@@ -343,8 +366,9 @@ class FieldVector:
 
 
 def _translation_only(term) -> bool:
-    """No rotation and no boost in the chain, so the term is its base on k_x = k_z = 0."""
-    return not term.has_boost and all(g.phase_vector() is not None for g in term.chain)
+    """Identity pull-back, and a phase of k_x and k_z only: on k_x = k_z = 0 it is its base."""
+    f = fold(term.chain)
+    return f.phase[0] == 0.0 and f.phase[2] == 0.0 and np.array_equal(f.pull, np.eye(4))
 
 
 def rays_at(rows, r: float):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ccr_reduce import (FieldVector, GaussianPacket, QuadratureConfig,
-                        average_bform_bhp_reduced, project_bhp)
+from ccr_reduce import (BHPElement, FieldVector, GaussianPacket, QuadratureConfig, RotationElement,
+                        apply_group, average_bform_bhp_reduced, compose, project_bhp)
 
 
 def random_packet(rng, center_range=2.5, width_range=(0.5, 1.2)):
@@ -30,6 +30,21 @@ def random_s0_field(rng):
     width = rng.uniform(0.6, 1.1, size=3)
     coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return s0_field(center, width, coeff)
+
+
+def apply_split(g, f):
+    """Phi_g f, with g acting as the two-element chain (g_a, g_b), compose(g_a, g_b) == g.
+
+    bform takes a pair whose sides share one chain on the base packets, so
+    a test of invariance splits the chain of one side to keep the pair on
+    the route it tests.
+    """
+    if isinstance(g, RotationElement):
+        a = b = RotationElement(g.angle / 2)
+    else:
+        a, b = BHPElement(g.n, g.alpha / 2, g.beta / 2), BHPElement(0, g.alpha / 2, g.beta / 2)
+    assert compose(a, b) == g
+    return apply_group(a, apply_group(b, f))
 
 
 def reduced_average(f1, f2, quad):

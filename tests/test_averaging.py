@@ -261,11 +261,11 @@ def radial_route(f1, f2, quad, g):
     support-box corner radius, outside which a2 is below e^-50.
     """
     def factory(D):
-        w = omega_of(D, 0.0)
-        lx, ly, lz, wf = g.push_forward(D[..., 0], D[..., 1], D[..., 2], w)
-        rows1, rows2 = f1.on_rays(np.stack((lx, ly, lz), axis=-1)), f2.on_rays(D)
-        theta = g.phase_at(D[..., 0], D[..., 1], D[..., 2])
-        theta = 0.0 if theta is None else theta
+        LD = g.forward_momentum_map(D)
+        w, wf = omega_of(D, 0.0), omega_of(LD, 0.0)
+        rows1, rows2 = f1.on_rays(LD), f2.on_rays(D)
+        # theta_g(d) = 2 pi n d_x + beta d_z, from the definition
+        theta = 2.0 * np.pi * g.n * D[..., 0] + g.beta * D[..., 2]
         return lambda r: (np.sqrt(wf / w) * np.conj(rays_at(rows1, r)) * rays_at(rows2, r)
                           * np.exp(1j * r * theta))
 

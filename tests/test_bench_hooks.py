@@ -104,3 +104,18 @@ def test_traced_run_matches_untraced_run(tmp_path):
     summary = t.summary()
     assert "err_to_tol_max" in summary["quadrature.adaptive_spherical"]
     assert summary["modes.FieldVector.amplitude"]["points"] > 0
+
+
+def test_bhp_momentum_maps_invert_each_other():
+    # the tracer wraps both maps by name, and the package itself reads only
+    # the chain folds, so nothing else would notice if one map drifted
+    import numpy as np
+    from ccr_reduce import BHPElement
+
+    rng = np.random.default_rng(11)
+    K = rng.uniform(-3.0, 3.0, size=(64, 3))
+    for _ in range(10):
+        g = BHPElement(int(rng.integers(-2, 3)), rng.uniform(-1.5, 1.5), rng.uniform(-2.0, 2.0))
+        for there, back in ((g.forward_momentum_map, g.inverse_momentum_map),
+                            (g.inverse_momentum_map, g.forward_momentum_map)):
+            assert np.max(np.abs(back(there(K)) - K)) <= 1e-12 * np.max(np.abs(K))

@@ -15,7 +15,7 @@ from ccr_reduce import (
     mu,
 )
 
-from conftest import random_field
+from conftest import apply_split, random_field
 
 TWO_PI = 2 * np.pi
 
@@ -123,5 +123,28 @@ class TestBHPAction:
         f = random_field(rng, mass=0.0, width_range=(0.7, 1.1))
         fb = apply_group(BHPElement(0, 0.8, 0.0), f)
         m0 = mu(f, f, quad).value
-        m1 = mu(fb, fb, quad).value
+        m1 = mu(fb, apply_split(BHPElement(0, 0.8, 0.0), f), quad).value
         assert m1 == pytest.approx(m0, rel=1e-6)
+
+
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+elements = st.one_of(st.builds(RotationElement, st.floats(0.0, TWO_PI)),
+                     st.builds(BHPElement, st.integers(-3, 3), st.floats(-2.0, 2.0),
+                               st.floats(-3.0, 3.0)))
+
+
+class TestPoincare:
+    @given(g=elements)
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_preserves_minkowski_metric(self, g):
+        L, t = g.poincare()
+        assert L.shape == (4, 4) and t.shape == (3,)
+        assert np.max(np.abs(L.T @ ETA @ L - ETA)) <= 1e-14 * L[0, 0] ** 2
+
+    @given(g=elements)
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_element_gives_inverse_matrix(self, g):
+        L, _ = g.poincare()
+        L_inv, _ = inverse(g).poincare()
+        for product in (L @ L_inv, L_inv @ L):
+            assert np.max(np.abs(product - np.eye(4))) <= 1e-14 * L[0, 0] ** 2

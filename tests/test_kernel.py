@@ -7,7 +7,8 @@ and frequency factor.  The oracle here applies the defining formula
     (Phi_g a)(k) = exp(i theta_g(k)) sqrt(w(L_g^-1 k) / w(k)) a(L_g^-1 k)
 
 one element at a time, term by term, on stacked (..., 3) momenta, with
-theta_g and L_g written out from their definitions.
+theta_g and L_g written out from their definitions.  The chain folds
+(`modes.fold`) are checked against the same transcription.
 """
 
 import numpy as np
@@ -24,8 +25,9 @@ from ccr_reduce import (
     generate_corpus,
     load_corpus,
 )
-from ccr_reduce import modes
-from ccr_reduce.modes import rays_at
+from ccr_reduce import inverse, modes
+from ccr_reduce.forms import _affine_of_term
+from ccr_reduce.modes import fold, rays_at
 from ccr_reduce.quadrature import spherical_grid
 
 from conftest import s0_field
@@ -91,6 +93,44 @@ def fields(draw):
     return FieldVector(0.0, tuple(terms))
 
 
+def oracle_pull_back(chain, K):
+    """(L_chain^-1 K, theta(K)) one element at a time, outermost first."""
+    theta = np.zeros(K.shape[:-1])
+    for g in chain:
+        th, K, _ = oracle_action(g, K)
+        theta = theta + th
+    return K, theta
+
+
+def oracle_push_forward(chain, K):
+    """L_chain K, innermost element first, each L_g as the pull-back of g^-1."""
+    for g in reversed(chain):
+        K = oracle_action(inverse(g), K)[1]
+    return K
+
+
+def oracle_affine(chain, base):
+    """(M, b, phi) of a boost-free term, from the innermost element out.
+
+    A rotation R maps them to (R M R^T, R b, R phi), and an element (n, 0, beta)
+    adds (2 pi n, 0, beta) to phi.
+    """
+    M, b, phi = np.diag(base.width ** -2.0), base.center, np.zeros(3)
+    for g in reversed(chain):
+        if isinstance(g, RotationElement):
+            c, s = np.cos(g.angle), np.sin(g.angle)
+            R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            M, b, phi = R @ M @ R.T, R @ b, R @ phi
+        else:
+            phi = phi + [2.0 * np.pi * g.n, 0.0, g.beta]
+    return M, b, phi
+
+
+def unit_rows(rng, n):
+    D = rng.normal(size=(n, 3))
+    return D / np.linalg.norm(D, axis=-1, keepdims=True)
+
+
 class TestChainKernel:
     @given(f=fields(), pts=st.lists(st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3),
                                     min_size=1, max_size=6))
@@ -138,6 +178,62 @@ class TestChainKernel:
                                                                 [0.8, 0.9, 1.0], 0.6j))
         boosted.amplitude(K)
         assert calls == [(BHPElement(1, 0.5, 0.8),)]
+
+
+boost_free_chains = st.lists(st.one_of(rotations, bhp_plain), min_size=1, max_size=3)
+boosted_chains = chains.filter(lambda c: any(isinstance(g, BHPElement) and g.alpha for g in c))
+
+
+class TestFold:
+    @given(chain=boost_free_chains, base=packets)
+    @settings(max_examples=60, deadline=None)
+    def test_affine_term_matches_element_by_element_fold(self, chain, base):
+        coeff, M, b, phi = _affine_of_term(TransformedPacket(base, tuple(chain)))
+        M_ref, b_ref, phi_ref = oracle_affine(chain, base)
+        assert coeff == base.coeff
+        assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref))
+        assert np.max(np.abs(b - b_ref)) <= 1e-13 * (1.0 + np.max(np.abs(b_ref)))
+        assert np.max(np.abs(phi - phi_ref)) <= 1e-13 * (1.0 + np.max(np.abs(phi_ref)))
+
+    @given(chain=boosted_chains, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_forward_map_and_stretch(self, chain, seed):
+        chain = tuple(chain)
+        f = fold(chain)
+        D = unit_rows(np.random.default_rng(seed), 200)
+        pushed = oracle_push_forward(chain, D)
+        assert np.max(np.abs(modes.lorentz_map(f.forward, D) - pushed)) <= 1e-12 * f.stretch
+        # the stretch bounds how far either map moves |k|
+        for moved in (oracle_pull_back(chain, D)[0], pushed):
+            ratio = np.linalg.norm(moved, axis=-1)
+            assert np.all(ratio <= f.stretch * (1.0 + 1e-12))
+            assert np.all(ratio >= (1.0 - 1e-12) / f.stretch)
+        # the pull-back stretches most along the spatial part of its first row
+        lead = f.pull[0, 1:]
+        if np.linalg.norm(lead) > 1e-6:
+            d = lead / np.linalg.norm(lead)
+            peak = np.linalg.norm(oracle_pull_back(chain, d)[0])
+            assert peak == pytest.approx(f.stretch, rel=1e-12)
+
+    def test_large_rapidity_folds_from_the_inverse_elements(self):
+        # cosh(30)^2 is about 1e26: a numerical inverse of such a product is
+        # singular in double precision, the matrix of the inverse element is
+        # not; the last translation acts behind the large boost, so the phase
+        # is large too
+        chain = (RotationElement(0.7), BHPElement(1, 30.0, 0.4), RotationElement(2.1),
+                 BHPElement(1, -2.0, 0.3))
+        f = fold(chain)
+        # the net rapidity lies between 30 - 2 and 30 + 2
+        assert f.boosted and np.exp(28.0) <= f.stretch <= np.exp(32.0)
+        K = np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 3))
+        qx, qy, qz, theta, root = modes.pull_back_chain(chain, K[:, 0], K[:, 1], K[:, 2])
+        back, theta_ref = oracle_pull_back(chain, K)
+        # roundoff of the largest intermediate momentum, about stretch |k|
+        scale = 1e-15 * f.stretch * np.linalg.norm(K, axis=-1)
+        assert np.all(np.abs(np.stack((qx, qy, qz), axis=-1) - back).max(axis=-1) <= scale)
+        assert np.all(np.abs(root ** 2 * np.linalg.norm(K, axis=-1)
+                             - np.linalg.norm(back, axis=-1)) <= scale)
+        assert np.all(np.abs(theta - theta_ref) <= 2.0 * np.pi * scale)
 
 
 ray_elements = st.one_of(rotations, st.builds(BHPElement, st.integers(-1, 1),
