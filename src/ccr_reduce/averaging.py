@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ZeroModeDivergenceError
+from .errors import MassMismatchError, ZeroModeDivergenceError
 from .forms import FormValue, _affine_pair, _ball_form, _closed_pair, _sphere_form
 from .groups import BHPElement, _rotation_matrix, apply_group, inverse
 from .modes import FieldVector, _dot, lorentz_apply, momentum_norm, rays_at, zero_mode_slice
@@ -83,6 +83,8 @@ def average_bform_circle(f1: FieldVector, f2: FieldVector,
     azimuth axis.  The mean of Gaussians along a ray is no Gaussian, so the
     closed-form radial integrals of bform do not apply to it.
     """
+    if f1.mass != f2.mass:
+        raise MassMismatchError(f"form of fields with masses {f1.mass} and {f2.mass}")
     folded = _affine_pair(f1, f2)
     if folded is None:
         if f1.is_zero or f2.is_zero:

@@ -2,8 +2,8 @@
 
 The central object is B(f1, f2) = integral d^3k conj(a1) a2 over momentum
 space; the symplectic form is Omega = -2 Im B and the vacuum scalar product
-is mu = Re B.  For pairs whose terms are Gaussians decorated only by
-rotations and translations, B reduces to an exact 3D Gaussian integral;
+is mu = Re B.  A pair of chain groups, in its relative frame, whose terms are
+Gaussians behind rotations and translations is an exact 3D Gaussian integral;
 with boosted terms only the radial integral along each ray is exact, and
 the directions are integrated numerically.  An integrand that is no
 Gaussian along rays, such as a ring mean, is integrated over a ball.
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MassMismatchError, NegativeFormError
-from .modes import FieldVector, add, fold, scale
+from .groups import apply_group, relative_chains
+from .modes import FieldVector, add, fold, on_chain, scale
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, ShellFactory, adaptive_sphere,
                          adaptive_spherical, bounding_radius)
 from .specfun import faddeeva
@@ -73,12 +74,7 @@ def _affine_of_term(term):
 
 
 def _affine_pair(f1: FieldVector, f2: FieldVector):
-    """Both fields' terms folded by _affine_of_term, or None if a term is boosted.
-
-    Raises MassMismatchError when the masses differ.
-    """
-    if f1.mass != f2.mass:
-        raise MassMismatchError(f"form of fields with masses {f1.mass} and {f2.mass}")
+    """Both fields' terms folded by _affine_of_term, or None if a term is boosted."""
     aff1 = [_affine_of_term(t) for t in f1.terms]
     aff2 = [_affine_of_term(t) for t in f2.terms]
     if any(a is None for a in aff1 + aff2):
@@ -188,23 +184,13 @@ def _ball_form(shells: ShellFactory, f1: FieldVector, f2: FieldVector,
     return FormValue(val, err)
 
 
-def bform(f1: FieldVector, f2: FieldVector,
-          quad: QuadratureConfig = DEFAULT_CONFIG) -> FormValue:
-    """B(f1, f2) = integral of conj(a1) a2 over momentum space.
+def _pair_form(f1: FieldVector, f2: FieldVector, quad: QuadratureConfig) -> FormValue:
+    """B(f1, f2) of non-zero fields: closed form without boosts, else by _sphere_form.
 
-    When every term of both fields carries one and the same chain, the
-    pair is taken in its own frame, on the base packets.  Closed form
-    whenever both fields are then free of boosts.  Otherwise each ray's
-    radial integral is closed form (_ray_integrals), and an adaptive
-    angular ladder (_sphere_form) integrates over directions with an error
-    estimate.
+    _sphere_form takes each ray's radial integral in closed form and the
+    directions on an adaptive angular ladder with an error estimate.
     """
-    if len(f1.by_chain) == len(f2.by_chain) == 1 and f1.by_chain[0][0] == f2.by_chain[0][0] != ():
-        # B(Phi_h x, Phi_h y) = B(x, y): a chain that both sides share drops out
-        f1, f2 = (FieldVector(f.mass, f.by_chain[0][1]) for f in (f1, f2))
     folded = _affine_pair(f1, f2)
-    if f1.is_zero or f2.is_zero:
-        return FormValue(0.0 + 0.0j, 0.0)
     if folded is not None:
         aff1, aff2 = folded
         total = 0.0 + 0.0j
@@ -213,6 +199,26 @@ def bform(f1: FieldVector, f2: FieldVector,
                 total += _closed_pair(a1, a2)
         return FormValue(total, _CLOSED_FORM_EPS * (abs(total) + 1.0))
     return _sphere_form(lambda D: (f1.on_rays(D), f2.on_rays(D)), f1, f2, quad)
+
+
+def bform(f1: FieldVector, f2: FieldVector,
+          quad: QuadratureConfig = DEFAULT_CONFIG) -> FormValue:
+    """B(f1, f2) = integral of conj(a1) a2 over momentum space.
+
+    B sums over pairs of chain groups (FieldVector.by_chain), each taken in
+    its relative frame (groups.relative_chains) by _pair_form; values and
+    error estimates add.
+    """
+    if f1.mass != f2.mass:
+        raise MassMismatchError(f"form of fields with masses {f1.mass} and {f2.mass}")
+    value, error = 0.0 + 0.0j, 0.0
+    for c1, bases1 in f1.by_chain:
+        for c2, bases2 in f2.by_chain:
+            r1, r2 = relative_chains(c1, c2)
+            b = _pair_form(FieldVector(f1.mass, tuple(on_chain(p, r1) for p in bases1)),
+                           FieldVector(f1.mass, tuple(on_chain(p, r2) for p in bases2)), quad)
+            value, error = value + b.value, error + b.error_estimate
+    return FormValue(value, error)
 
 
 def omega(f1: FieldVector, f2: FieldVector,
@@ -289,8 +295,6 @@ def commutator_check(f1: FieldVector, g, f2: FieldVector,
     as half the symplectic form, so the two sides go through independent
     evaluations and their difference measures the commutator.
     """
-    from .groups import apply_group  # deferred to avoid an import cycle
-
     lhs = mu(f1, apply_group(g, apply_A(f2)), quad).value
     rhs = 0.5 * omega(f1, apply_group(g, f2), quad).value
     return lhs, rhs

@@ -14,6 +14,9 @@ is what makes the symplectic form and the vacuum inner product invariant.
 A chain of actions is one Lorentz matrix and one phase covector (modes.fold).
 Rotations keep |k| and boosts act on the massless field only, so no
 momentum map takes a mass.
+Elements of one kind compose by adding their parameters, and the vacuum is
+invariant: B(Phi_a x, Phi_b y) = B(x, Phi_{a^-1 b} y).  apply_group and
+relative_chains are the one place that decides a pair's frame from this.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .errors import GroupMismatchError
-from .modes import FieldVector, GaussianPacket, TransformedPacket, fold, lorentz_map
+from .modes import FieldVector, fold, lorentz_map, on_chain
 
 TWO_PI = 2.0 * np.pi
 
@@ -54,9 +57,6 @@ class RotationElement:
         L = np.eye(4)
         L[1:, 1:] = _rotation_matrix(self.angle)
         return L, np.zeros(3)
-
-    def forward_momentum_map(self, K):
-        return lorentz_map(fold((self,)).forward, K)
 
     def is_identity(self) -> bool:
         return self.angle <= 1e-15 or TWO_PI - self.angle <= 1e-15
@@ -126,22 +126,35 @@ def inverse(g: GroupElement) -> GroupElement:
     raise GroupMismatchError(f"not a group element: {type(g).__name__}")
 
 
+def _act(g: GroupElement, chain: tuple) -> tuple:
+    """Phi_g Phi_chain as a chain: g composed into the outermost elements of its kind.
+
+    An identity is dropped, so chains built by _act never hold two adjacent
+    elements of one kind, and a chain read from JSON leaves with a canonical head.
+    """
+    while chain and type(chain[0]) is type(g):
+        g, chain = compose(g, chain[0]), chain[1:]
+    return chain if g.is_identity() else (g,) + chain
+
+
 def apply_group(g: GroupElement, f: FieldVector) -> FieldVector:
-    """Act on a field; rotations of xy-isotropic packets stay closed form.
+    """Act on a field: each term's chain becomes _act(g, chain).
 
     Boosts require the massless theory (FieldVector rejects a boosted term
     on a massive field); other actions work for any mass.  Terms that shared
-    a chain share the extended one, so FieldVector.amplitude still maps
-    them once.
+    a chain share the new one, so FieldVector.amplitude still maps them once.
     """
     if g.is_identity():
         return f
+    return FieldVector(f.mass, tuple(on_chain(t.base, _act(g, t.chain)) for t in f.terms))
 
-    new_terms = []
-    for t in f.terms:
-        if isinstance(g, RotationElement) and not t.chain and t.width[0] == t.width[1]:
-            # xy-isotropic Gaussian: rotating the center is exact
-            new_terms.append(GaussianPacket(g.forward_momentum_map(t.center), t.width, t.coeff))
-        else:
-            new_terms.append(TransformedPacket(t.base, (g,) + t.chain))
-    return FieldVector(f.mass, tuple(new_terms))
+
+def relative_chains(c1: tuple, c2: tuple) -> tuple:
+    """The chains of the pair (Phi_c1 x, Phi_c2 y) in its relative frame, where B is the same.
+
+    While both chains open with elements e1 and e2 of one kind, e1 moves to
+    the other side as e1^-1 e2.
+    """
+    while c1 and c2 and type(c1[0]) is type(c2[0]):
+        c1, c2 = c1[1:], _act(inverse(c1[0]), c2)
+    return c1, c2

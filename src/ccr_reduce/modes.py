@@ -231,6 +231,11 @@ class TransformedPacket:
         return TransformedPacket(self.base.scaled(c), self.chain)
 
 
+def on_chain(base: GaussianPacket, chain: tuple):
+    """The term Phi_chain base: the base packet itself when the chain is empty."""
+    return TransformedPacket(base, chain) if chain else base
+
+
 @dataclass(frozen=True)
 class FieldVector:
     """A linear combination of (possibly transformed) Gaussian packets."""
@@ -469,8 +474,7 @@ def field_from_json(doc: dict) -> FieldVector:
     for td in doc["terms"]:
         base = GaussianPacket(td["center"], td["width"],
                               complex(td["coeff"][0], td["coeff"][1]))
-        actions = [_action_from_json(a) for a in td.get("actions", [])]
-        terms.append(TransformedPacket(base, tuple(actions)) if actions else base)
+        terms.append(on_chain(base, tuple(_action_from_json(a) for a in td.get("actions", []))))
     return FieldVector(float(doc["mass"]), tuple(terms))
 
 

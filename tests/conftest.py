@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ccr_reduce import (BHPElement, FieldVector, GaussianPacket, QuadratureConfig, RotationElement,
-                        apply_group, average_bform_bhp_reduced, compose, project_bhp)
+from ccr_reduce import (FieldVector, GaussianPacket, QuadratureConfig, apply_group,
+                        average_bform_bhp_reduced, forms, project_bhp)
 
 
 def random_packet(rng, center_range=2.5, width_range=(0.5, 1.2)):
@@ -32,19 +32,14 @@ def random_s0_field(rng):
     return s0_field(center, width, coeff)
 
 
-def apply_split(g, f):
-    """Phi_g f, with g acting as the two-element chain (g_a, g_b), compose(g_a, g_b) == g.
+def moved_pair_on_sphere(g, f1, f2, quad=QuadratureConfig()):
+    """B(Phi_g f1, Phi_g f2) on the numeric angular route, forms._sphere_form.
 
-    bform takes a pair whose sides share one chain on the base packets, so
-    a test of invariance splits the chain of one side to keep the pair on
-    the route it tests.
+    bform takes the moved pair in its relative frame, where g drops out, so
+    a test of invariance calls the angular ladder itself to keep testing it.
     """
-    if isinstance(g, RotationElement):
-        a = b = RotationElement(g.angle / 2)
-    else:
-        a, b = BHPElement(g.n, g.alpha / 2, g.beta / 2), BHPElement(0, g.alpha / 2, g.beta / 2)
-    assert compose(a, b) == g
-    return apply_group(a, apply_group(b, f))
+    f1, f2 = apply_group(g, f1), apply_group(g, f2)
+    return forms._sphere_form(lambda D: (f1.on_rays(D), f2.on_rays(D)), f1, f2, quad)
 
 
 def reduced_average(f1, f2, quad):

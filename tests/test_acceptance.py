@@ -46,7 +46,7 @@ from ccr_reduce.corpus import generate_corpus, load_corpus
 from ccr_reduce.quadrature import QuadratureConfig
 from ccr_reduce.reduction import ReducedSequence, axisym_domain, ordered_ns
 
-from conftest import apply_split, random_field, random_s0_field, reduced_average
+from conftest import moved_pair_on_sphere, random_field, random_s0_field, reduced_average
 
 
 def report(criterion, ok, detail):
@@ -79,11 +79,10 @@ def test_criterion_1_quasifree_bound():
 def invariance_defect(g, f1, f2) -> float:
     """Largest change of Omega = -2 Im B and of mu = Re B when g acts on both fields.
 
-    One bform per pair gives both forms, as forms.omega and forms.mu do.
-    g acts on f2 as a split chain, so the moved pair is not reduced to its
-    own frame and goes through the route of its chains.
+    One B per pair gives both forms, as forms.omega and forms.mu do; the
+    moved pair is integrated on the angular ladder, where g does not drop out.
     """
-    moved = complex(bform(apply_group(g, f1), apply_split(g, f2)).value)
+    moved = complex(moved_pair_on_sphere(g, f1, f2).value)
     fixed = complex(bform(f1, f2).value)
     return max(abs(-2.0 * moved.imag + 2.0 * fixed.imag), abs(moved.real - fixed.real))
 
@@ -126,7 +125,7 @@ def test_criterion_3_complex_structure_commutes():
         lhs, rhs = commutator_check(f1, g, f2)
         worst = max(worst, abs(lhs - rhs) / scale_ref)
         # combined with invariance: mu(Phi_g f1, A Phi_g f2) = mu(f1, A f2)
-        d = abs(mu(apply_group(g, f1), apply_A(apply_split(g, f2))).value
+        d = abs(moved_pair_on_sphere(g, f1, apply_A(f2)).value.real
                 - mu(f1, apply_A(f2)).value)
         worst = max(worst, d / scale_ref)
     report(3, worst <= 1e-6, f"worst commutator element {worst:.2e} of scale")

@@ -6,7 +6,9 @@ from unittest import mock
 
 import pytest
 
-from ccr_reduce import QuadratureConfig, project_axisymmetric, project_bhp, reduction
+from ccr_reduce import (BHPElement, FieldVector, GaussianPacket, QuadratureConfig, add,
+                        apply_group, field_to_json, project_axisymmetric, project_bhp,
+                        reduction, scale)
 from ccr_reduce.cli import ScenarioConfig, main, run_scenario
 from ccr_reduce.corpus import dump_corpus, generate_corpus, load_corpus
 
@@ -59,6 +61,18 @@ class TestScenarioRunner:
         assert doc["scenario"] == "bounds"
         for c in doc["checks"]:
             assert set(c) == {"name", "lhs", "rhs", "tol", "pass", "oracle"}
+
+    def test_bounds_scenario_on_a_far_boosted_null_vector(self, tmp_path):
+        # Phi_g psi - psi at rapidity 30: its norm is twice that of psi, which
+        # the angular ladder alone would miss by the boosted diagonal
+        psi = FieldVector(0.0, (GaussianPacket([0.5, 0.2, 0.1], [0.8] * 3, 1.0),))
+        null = add(apply_group(BHPElement(1, 30.0, 0.3), psi), scale(psi, -1.0))
+        corpus = tmp_path / "c.json"
+        dump_corpus({"fields": [field_to_json(null)]}, corpus)
+        report = run_scenario(ScenarioConfig("bounds", str(corpus), str(tmp_path / "r.json")))
+        assert report["results"]["n_failed"] == 0
+        m = report["results"]["mu_diagonals"][0]["value"][0]
+        assert m == pytest.approx(5.701967868755671, rel=1e-12)
 
     def test_zero_mode_scenario(self, tmp_path):
         corpus = tmp_path / "c.json"

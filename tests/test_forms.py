@@ -13,6 +13,8 @@ from ccr_reduce import (
     apply_group,
     bform,
     commutator_check,
+    field_from_json,
+    field_to_json,
     mu,
     omega,
     qf_bound_check,
@@ -24,7 +26,7 @@ from ccr_reduce import (
 )
 from ccr_reduce import forms
 
-from conftest import apply_split, random_field
+from conftest import moved_pair_on_sphere, random_field
 
 
 def unit_gaussian():
@@ -79,8 +81,7 @@ class TestBform:
         f2 = FieldVector(0.0, (GaussianPacket([0.3, 1.2, 1.8], [1.2 * w, w, w], 0.5 + 0.5j),))
         g = BHPElement(0, 0.9, 0)
         closed = bform(f1, f2, quad).value
-        # a split chain on one side keeps the boosted pair off its own frame
-        boosted = bform(apply_group(g, f1), apply_split(g, f2), quad).value
+        boosted = moved_pair_on_sphere(g, f1, f2, quad).value
         assert abs(boosted - closed) <= 1e-10 * abs(closed)
 
     def test_real_bilinearity_sampled(self, rng, quad):
@@ -88,6 +89,50 @@ class TestBform:
         left = bform(f1, add(f2, scale(f3, 1.7)), quad).value
         right = bform(f1, f2, quad).value + 1.7 * bform(f1, f3, quad).value
         assert left == pytest.approx(right, rel=1e-12)
+
+
+class TestRelativeFrame:
+    # a boosted pair whose own chains put the packet near |k| ~ e^alpha is
+    # evaluated in its relative frame, where the common boost drops out
+    PACKET = FieldVector(0.0, (GaussianPacket([0.5, 0.2, 0.1], [0.8] * 3, 1.0),))
+
+    @pytest.mark.parametrize("A", [3.0, 6.0, 12.0, 30.0])
+    def test_lab_frame_pair_gives_its_rest_value(self, A, quad):
+        f = self.PACKET
+        rest = bform(f, apply_group(BHPElement(1, 0.5, 0.3), f), quad)
+        lab = bform(apply_group(BHPElement(0, A, 0.0), f),
+                    apply_group(BHPElement(1, A + 0.5, 0.3), f), quad)
+        assert (lab.value, lab.error_estimate) == (rest.value, rest.error_estimate)
+        assert lab.value == pytest.approx(-7.5932e-3 + 5.689e-5j, rel=1e-4)
+
+    @pytest.mark.parametrize("alpha", [2.0, 6.0, 12.0, 20.0, 30.0])
+    def test_split_chain_pair_gives_the_unboosted_diagonal(self, alpha, quad):
+        f, half = self.PACKET, BHPElement(0, alpha / 2, 0.0)
+        m = mu(apply_group(BHPElement(0, alpha, 0.0), f), apply_group(half, apply_group(half, f)),
+               quad).value
+        assert m == mu(f, f, quad).value
+        assert m == pytest.approx(2.8509839343778354, rel=1e-14)
+
+    def test_null_vector_norm_at_large_rapidity(self, quad):
+        # the (g, g) pair is the closed-form diagonal; the (g, 1) cross pairs
+        # are about 1e-21 at alpha = 30, so mu is twice mu(f, f)
+        f = self.PACKET
+        null = add(apply_group(BHPElement(1, 30.0, 0.3), f), scale(f, -1.0))
+        assert mu(null, null, quad).value == pytest.approx(5.701967868755671, rel=1e-12)
+
+    def test_split_chain_read_from_json_reduces_in_both_orders(self, quad):
+        # field_from_json keeps the non-canonical chain (g/2, g/2); acting by
+        # g^-1 on it, or moving g across it, must consume both halves
+        g, half = BHPElement(0, 30.0, 0.0), BHPElement(0, 15.0, 0.0)
+        doc = field_to_json(self.PACKET)
+        doc["terms"][0]["actions"] = [half.to_json(), half.to_json()]
+        split = field_from_json(doc)
+        assert len(split.terms[0].chain) == 2
+        moved = apply_group(g, self.PACKET)
+        expected = mu(self.PACKET, self.PACKET, quad).value
+        assert mu(moved, split, quad).value == expected
+        assert mu(split, moved, quad).value == expected
+        assert expected == pytest.approx(2.8509839343778354, rel=1e-14)
 
 
 class TestRadialMoment:

@@ -9,13 +9,17 @@ from ccr_reduce import (
     GroupMismatchError,
     MassMismatchError,
     RotationElement,
+    add,
     apply_group,
+    bform,
     compose,
+    forms,
     inverse,
     mu,
 )
+from ccr_reduce.modes import on_chain
 
-from conftest import apply_split, random_field
+from conftest import moved_pair_on_sphere, random_field
 
 TWO_PI = 2 * np.pi
 
@@ -51,6 +55,11 @@ class TestComposition:
         assert min(delta, TWO_PI - delta) < 1e-12
 
 
+def two_element_chain(g1, g2, f):
+    """Phi_g1 Phi_g2 f with the chain (g1, g2) on every term, as no action composes it."""
+    return FieldVector(f.mass, tuple(on_chain(t.base, (g1, g2)) for t in f.terms))
+
+
 class TestRotationAction:
     def test_full_turn_is_identity(self, rng):
         f = random_field(rng)
@@ -65,11 +74,12 @@ class TestRotationAction:
         assert abs(g.amplitude(np.array([1.0, 0.0, 0.0]))) < np.exp(-0.9)
 
     def test_action_property_sampled(self, rng):
-        # Phi_{g1 g2} equals Phi_{g1} Phi_{g2} as amplitude maps
+        # Phi_{g1 g2} equals Phi_{g1} Phi_{g2} as amplitude maps; the right side
+        # keeps the two-element chain, which apply_group would compose
         f = random_field(rng, width_range=(0.6, 1.0))
         g1, g2 = RotationElement(0.9), RotationElement(2.3)
         lhs = apply_group(compose(g1, g2), f)
-        rhs = apply_group(g1, apply_group(g2, f))
+        rhs = two_element_chain(g1, g2, f)
         k = rng.uniform(-3, 3, size=(40, 3))
         assert np.allclose(lhs.amplitude(k), rhs.amplitude(k), atol=1e-10)
 
@@ -80,7 +90,7 @@ class TestBHPAction:
         g1 = BHPElement(1, 0.6, -0.4)
         g2 = BHPElement(-2, -0.2, 1.1)
         lhs = apply_group(compose(g1, g2), f)
-        rhs = apply_group(g1, apply_group(g2, f))
+        rhs = two_element_chain(g1, g2, f)
         k = rng.uniform(-3, 3, size=(40, 3))
         assert np.allclose(lhs.amplitude(k), rhs.amplitude(k), atol=1e-10)
 
@@ -121,9 +131,8 @@ class TestBHPAction:
     def test_boost_preserves_mu_diagonal(self, rng, quad):
         # quadrature-level invariance of the scalar product under boosts
         f = random_field(rng, mass=0.0, width_range=(0.7, 1.1))
-        fb = apply_group(BHPElement(0, 0.8, 0.0), f)
         m0 = mu(f, f, quad).value
-        m1 = mu(fb, apply_split(BHPElement(0, 0.8, 0.0), f), quad).value
+        m1 = moved_pair_on_sphere(BHPElement(0, 0.8, 0.0), f, f, quad).value.real
         assert m1 == pytest.approx(m0, rel=1e-6)
 
 
@@ -148,3 +157,93 @@ class TestPoincare:
         L_inv, _ = inverse(g).poincare()
         for product in (L @ L_inv, L_inv @ L):
             assert np.max(np.abs(product - np.eye(4))) <= 1e-14 * L[0, 0] ** 2
+
+
+# parameters on a grid of eighths: BHP elements then compose exactly, and a
+# sum of rotation angles is a multiple of 2 pi only when it is 0
+def eighths(top):
+    return st.integers(-8 * top, 8 * top).map(lambda k: k / 8)
+
+
+rotations = st.builds(RotationElement, eighths(10))
+bhps = st.builds(BHPElement, st.integers(-3, 3), eighths(2), eighths(10))
+same_kind = st.one_of(st.tuples(rotations, rotations), st.tuples(bhps, bhps))
+grid_elements = st.one_of(rotations, bhps)
+
+
+def same_element(x, y) -> bool:
+    if isinstance(x, BHPElement):
+        return x == y
+    d = (x.angle - y.angle) % TWO_PI
+    return type(y) is RotationElement and min(d, TWO_PI - d) <= 1e-12
+
+
+def packet_field(seed, n_terms=2):
+    return random_field(np.random.default_rng(seed), n_terms=n_terms, width_range=(0.6, 1.1))
+
+
+class TestCanonicalChains:
+    @given(gs=st.lists(grid_elements, max_size=8), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_no_adjacent_elements_of_one_kind(self, gs, seed):
+        f = packet_field(seed)
+        for g in gs:
+            f = apply_group(g, f)
+        for t in f.terms:
+            assert not any(g.is_identity() for g in t.chain)
+            assert all(type(a) is not type(b) for a, b in zip(t.chain, t.chain[1:]))
+
+    @given(ab=same_kind, c=grid_elements, seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_action_composes(self, ab, c, seed):
+        a, b = ab
+        f = apply_group(c, packet_field(seed))
+        lhs, rhs = apply_group(a, apply_group(b, f)), apply_group(compose(a, b), f)
+        assert len(lhs.terms) == len(rhs.terms)
+        for s, t in zip(lhs.terms, rhs.terms):
+            assert s.base is t.base and len(s.chain) == len(t.chain)
+            assert all(same_element(x, y) for x, y in zip(s.chain, t.chain))
+
+
+class TestRelativeFrame:
+    # an identity element leaves its side without a chain, whose pair stays as it is
+    @given(e=same_kind.filter(lambda e: not (e[0].is_identity() or e[1].is_identity())),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_outermost_elements_move_to_one_side(self, e, seed):
+        e1, e2 = e
+        x, y = packet_field(seed), packet_field(seed + 1)
+        moved = bform(apply_group(e1, x), apply_group(e2, y))
+        relative = bform(x, apply_group(compose(inverse(e1), e2), y))
+        assert (moved.value, moved.error_estimate) == (relative.value, relative.error_estimate)
+
+    @given(e=same_kind, g=grid_elements, seed=st.integers(0, 2**16))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_two_group_form_is_the_sum_of_its_group_pair_forms(self, e, g, seed):
+        x, y = packet_field(seed, 1), packet_field(seed + 1, 1)
+        f1 = add(apply_group(e[0], x), packet_field(seed + 2, 1))
+        f2 = add(apply_group(e[1], y), apply_group(g, packet_field(seed + 3, 1)))
+        groups1, groups2 = ([FieldVector(0.0, tuple(t for t in f.terms if t.chain == c))
+                             for c, _ in f.by_chain] for f in (f1, f2))
+        value, error = 0.0 + 0.0j, 0.0
+        for h1 in groups1:
+            for h2 in groups2:
+                b = bform(h1, h2)
+                value, error = value + b.value, error + b.error_estimate
+        b = bform(f1, f2)
+        assert (b.value, b.error_estimate) == (value, error)
+
+    @pytest.mark.parametrize("e1, e2, numeric", [
+        (RotationElement(0.4), RotationElement(2.9), False),
+        (BHPElement(1, 0.0, 0.3), BHPElement(-2, 0.0, 1.1), False),
+        (BHPElement(0, 3.0, 0.0), BHPElement(1, 3.0, 0.3), False),
+        (BHPElement(0, 3.0, 0.0), BHPElement(1, 3.5, 0.3), True),
+    ])
+    def test_angular_ladder_only_for_a_relative_boost(self, e1, e2, numeric, rng, quad,
+                                                      monkeypatch):
+        calls = []
+        sphere_form = forms._sphere_form
+        monkeypatch.setattr(forms, "_sphere_form", lambda *a: calls.append(1) or sphere_form(*a))
+        x, y = random_field(rng), random_field(rng)
+        bform(apply_group(e1, x), apply_group(e2, y), quad)
+        assert len(calls) == int(numeric)

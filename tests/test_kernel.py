@@ -27,7 +27,7 @@ from ccr_reduce import (
 )
 from ccr_reduce import inverse, modes
 from ccr_reduce.forms import _affine_of_term
-from ccr_reduce.modes import fold, rays_at
+from ccr_reduce.modes import fold, lorentz_map, rays_at
 from ccr_reduce.quadrature import spherical_grid
 
 from conftest import s0_field
@@ -64,7 +64,7 @@ def oracle_term(chain, base, K):
 def forward_center(term):
     c = term.base.center
     for g in reversed(term.chain):
-        c = g.forward_momentum_map(c)
+        c = lorentz_map(fold((g,)).forward, c)
     return c
 
 
