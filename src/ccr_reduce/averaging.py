@@ -328,11 +328,14 @@ def substitution_check(h: Callable[[np.ndarray], np.ndarray], support: float,
 
 # --- group-averaged field -----------------------------------------------------
 
-def average_field_bhp(f: FieldVector, tau: float, sigma: float,
+def average_field_bhp(f: FieldVector, tau: float, sigma,
                       quad: QuadratureConfig = DEFAULT_CONFIG,
                       path: str = "series",
-                      sequence: Optional[ReducedSequence] = None) -> float:
+                      sequence: Optional[ReducedSequence] = None):
     """Group-averaged field at (tau, sigma) on the reduced spacetime.
+
+    sigma is a number, with a float value, or an array, with values of its
+    shape: all but the last sum over n depends on tau alone and runs once.
 
     path "series": the Gowdy solution with a_n = A_n and no zero mode,
     (1/(2 sqrt 2)) sum_{n != 0} A_n H0_2(|n| tau) e^{i n sigma} plus its
@@ -370,7 +373,9 @@ def average_field_bhp(f: FieldVector, tau: float, sigma: float,
     t, _ = adaptive_gl(level, float(lo[1]) - 0.5, float(hi[1]) + 0.5, quad, f.min_width(),
                        "direct field-average quadrature did not converge")
     # twice the real part of each term, over 2 sqrt(pi)
-    return float(np.sum((t * np.exp(1j * ns[:, 0] * sigma)).real)) / np.sqrt(np.pi)
+    phases = np.exp(1j * np.multiply.outer(np.asarray(sigma, dtype=float), ns[:, 0]))
+    vals = np.sum((t * phases).real, axis=-1) / np.sqrt(np.pi)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def zero_mode_divergence_probe(f: FieldVector, alpha_cutoffs: Sequence[float]) -> list:
@@ -381,9 +386,12 @@ def zero_mode_divergence_probe(f: FieldVector, alpha_cutoffs: Sequence[float]) -
     The k_y < 0 half of the slice g(k_y) = a(0, k_y, 0) enters at alpha where
     the k_y > 0 half enters at -alpha, so the alpha integral folds onto
     [0, A] and sees only G(k) = g(k) + g(-k), k > 0.  With k = v^2, its
-    oscillatory k integral is a weighted sum on one grid for the slow branch
-    (nu <= 50: the local frequency 2 nu v of exp(-i nu v^2) stays below
-    100 sqrt(q_hi)) and a contour rotation for the fast one.  The panels
+    oscillatory k integral is a contour rotation for nu > 50 and, for
+    nu <= 50, a weighted sum on one v grid per octave (top / 2, top] of nu,
+    top = 50, 25, ...: the grid resolves the local frequency 2 top v of
+    exp(-i nu v^2) up to v_hi = sqrt(q_hi), and its panels are at most
+    min_width / v_hi long, which resolves G(v^2); the first octave whose
+    frequency is under that floor serves every lower nu.  The panels
     between increasing cutoffs (the first from 0) are adaptive_gl ladders at
     unit width and DEFAULT_CONFIG whose running sums are returned; a panel
     that does not converge raises QuadratureError.
@@ -398,20 +406,30 @@ def zero_mode_divergence_probe(f: FieldVector, alpha_cutoffs: Sequence[float]) -
 
     lo, hi = f.support_box()
     q_hi = max(abs(lo[1]), abs(hi[1])) + 1.0
+    v_hi = np.sqrt(q_hi)
     c0 = (2.0 * (2.0 * np.pi) ** 3) ** -0.5
-    v, wv = oscillatory_grid(0.0, np.sqrt(q_hi), 100.0 * np.sqrt(q_hi))
-    w = 2.0 * wv * G(v * v)
-    slow = np.stack([w.real, w.imag], axis=-1)
+    floor = 2.0 * np.pi * v_hi / f.min_width()
+    grids, top = [], 50.0
+    while True:
+        v, wv = oscillatory_grid(0.0, v_hi, max(2.0 * top * v_hi, floor))
+        w = 2.0 * wv * G(v * v)
+        grids.append((v, np.stack([w.real, w.imag], axis=-1)))
+        if 2.0 * top * v_hi <= floor:
+            break
+        top /= 2.0
     x, wx = gl_nodes(200, -1.0, 1.0)
 
     def K_of(nu: np.ndarray) -> np.ndarray:
         out = np.empty(nu.shape, dtype=complex)
         s = nu <= 50.0
-        # exp(-i ph) @ slow in real arithmetic: a cos and a sin cost less than
-        # a complex exp
-        ph = np.multiply.outer(nu[s], v) * v
-        c, sn = np.cos(ph) @ slow, np.sin(ph) @ slow
-        out[s] = (c[:, 0] + sn[:, 1]) + 1j * (c[:, 1] - sn[:, 0])
+        octave = np.minimum(np.log2(50.0 / nu[s]), len(grids) - 1).astype(int)
+        for i, (v, slow) in enumerate(grids):
+            rows = np.flatnonzero(s)[octave == i]
+            # exp(-i ph) @ slow in real arithmetic: a cos and a sin cost less
+            # than a complex exp
+            ph = np.multiply.outer(nu[rows], v) * v
+            c, sn = np.cos(ph) @ slow, np.sin(ph) @ slow
+            out[rows] = (c[:, 0] + sn[:, 1]) + 1j * (c[:, 1] - sn[:, 0])
         # fast branch: the GL rule on [0, sqrt(45 / nu)] per row
         half = 0.5 * np.sqrt(45.0 / nu[~s])[:, None]
         u, wu = half * x + half, half * wx

@@ -352,17 +352,20 @@ def gowdy_forms(p1: GowdySolution, p2: GowdySolution):
     return -2.0 * total.imag, total.real
 
 
-def gowdy_value(p: GowdySolution, tau: float, sigma: float) -> float:
-    """Evaluate the solution at (tau, sigma), tau > 0."""
+def gowdy_value(p: GowdySolution, tau: float, sigma):
+    """Evaluate the solution at (tau, sigma), tau > 0: a float, or for an
+    array sigma an array of its shape, with one H0_2(|n| tau) per call."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     a0 = p.a0()
+    sigma = np.asarray(sigma, dtype=float)
     val = (1.0 / np.sqrt(np.pi)) * (a0 * (1.0 - 1j * np.log(tau))).real
-    osc = 0j
+    osc = np.zeros(sigma.shape, dtype=complex)
     for m in range(1, p.n_max + 1):  # the modes -m and m share H0_2(m tau)
         pair = p.coeffs[-m] * np.exp(-1j * m * sigma) + p.coeffs[m] * np.exp(1j * m * sigma)
         osc = osc + hankel2_0(m * tau) * pair
-    return float(val + (1.0 / np.sqrt(2.0)) * osc.real)
+    out = val + (1.0 / np.sqrt(2.0)) * osc.real
+    return float(out) if out.ndim == 0 else out
 
 
 def zero_mode_symplectic_map(matrix) -> np.ndarray:

@@ -42,6 +42,7 @@ from ccr_reduce.quadrature import (
     adaptive_tensor3,
     bounding_radius,
     gl_nodes,
+    oscillatory_grid,
     spherical_integral,
 )
 from ccr_reduce.reduction import ordered_ns
@@ -902,6 +903,19 @@ class TestFieldAverage:
         with pytest.raises(ZeroModeDivergenceError):
             average_field_bhp(f, 1.0, 0.0, quad_bhp)
 
+    @pytest.mark.parametrize("path", ["direct", "series"])
+    def test_sigma_array_matches_scalar_calls(self, rng, quad_bhp, path):
+        f = random_s0_field(rng)
+        seq = project_bhp(f, quad_bhp)
+        sigmas = np.array([[0.0, 0.7, 2.0], [np.pi, 4.5, 6.0]])
+        for tau in (0.5, 1.3):
+            vals = average_field_bhp(f, tau, sigmas, quad_bhp, path, seq)
+            one = [average_field_bhp(f, tau, s, quad_bhp, path, seq) for s in sigmas.ravel()]
+            assert all(type(v) is float for v in one)
+            assert vals.shape == sigmas.shape
+            scale_ = max(abs(v) for v in one)
+            np.testing.assert_allclose(vals.ravel(), one, rtol=0.0, atol=1e-15 * scale_)
+
 
 class TestZeroModeProbe:
     def test_s0_probe_flat(self, rng):
@@ -939,6 +953,23 @@ class TestZeroModeProbe:
         with mock.patch.object(quadrature, "GL_CAP", 24):
             with pytest.raises(QuadratureError, match="zero-mode probe"):
                 zero_mode_divergence_probe(f, (5.0, 10.0))
+
+    @pytest.mark.parametrize("field", [
+        *[pytest.param(f, id=f"corpus-{i}")
+          for i, f in enumerate(load_corpus(generate_corpus(42, 6))[:2])],
+        *[pytest.param(FieldVector(0.0, (GaussianPacket((0.0, ky, 0.0), (1.0, wy, 1.0), 1.0),)),
+                       id=f"packet-{ky}-{wy}") for ky, wy in ((3.0, 0.1), (6.0, 0.15), (0.5, 0.1))],
+    ])
+    def test_octave_grids_match_the_single_grid(self, field):
+        # the reference puts every octave on the one grid sized for nu = 50,
+        # 100 sqrt(q_hi) over [0, sqrt(q_hi)]; narrow packets at large k_y
+        # need the grids' width floor to match it
+        cutoffs = (5.0, 10.0, 20.0, 40.0)
+        got = zero_mode_divergence_probe(field, cutoffs)
+        with mock.patch("ccr_reduce.averaging.oscillatory_grid",
+                        lambda a, b, max_freq: oscillatory_grid(a, b, 100.0 * b)):
+            ref = zero_mode_divergence_probe(field, cutoffs)
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("cutoffs", [(5.0, 5.0), (10.0, 5.0), (0.0, 5.0), (-5.0,)])
     def test_cutoffs_must_increase(self, rng, cutoffs):

@@ -4,10 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_legendre
+from scipy.special import jn_zeros, roots_legendre
 
 from ccr_reduce import QuadratureError, quadrature
-from ccr_reduce.quadrature import GL_BLOCK, _leggauss
+from ccr_reduce.quadrature import GL_BLOCK, _J0_ZEROS, _bessel_j0_zeros, _leggauss
 
 
 def first_split_order() -> int:
@@ -78,6 +78,17 @@ class TestGaussLegendreRule:
         assert float(np.max(np.abs(x - xr))) <= 2.5e-16
         assert float(np.max(np.abs(w / wr - 1))) <= 1e-13
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("n", [24, 32, 39, 40, 41])
+    def test_weights_after_the_longest_last_steps(self, n):
+        # the last Newton steps are longest (up to 1e-8) near n = 40, where a
+        # first-order slope update would err by up to 1.4e-13 in the weights
+        x, w = _leggauss(n)
+        xr, wr = longdouble_rule(n, x)
+        assert float(np.max(np.abs(x - xr))) <= 2.5e-16
+        assert float(np.max(np.abs(w / wr - 1))) <= 1e-14
+
     @pytest.mark.parametrize("n", SIZES)
     def test_even_monomials_exact(self, n):
         x, w = _leggauss(n)
@@ -134,3 +145,34 @@ class TestGaussLegendreRule:
         monkeypatch.setattr(quadrature, "GL_SWEEPS", 1)
         with pytest.raises(QuadratureError):
             _leggauss.__wrapped__(16)
+
+    @pytest.mark.parametrize("n", [40, 64, 263, 376, 1024])
+    def test_one_series_evaluation_per_node(self, monkeypatch, n):
+        # from n = 40 the Bessel-zero start is within a step of 1e-8 of every
+        # node, so each block of the half rule is evaluated once
+        blocks = []
+        series = quadrature._legendre_series
+
+        def recording(theta, a, m, scale):
+            blocks.append(theta.size)
+            return series(theta, a, m, scale)
+
+        monkeypatch.setattr(quadrature, "_legendre_series", recording)
+        _leggauss.__wrapped__(n)
+        half, rows = (n + 1) // 2, GL_BLOCK // (n // 2 + 1)
+        assert blocks == [min(rows, half - first) for first in range(0, half, rows)]
+
+
+class TestBesselZeros:
+    def test_table(self):
+        np.testing.assert_allclose(_J0_ZEROS, jn_zeros(0, len(_J0_ZEROS)), rtol=0.0, atol=1e-15)
+
+    def test_mcmahon_up_to_512(self):
+        got = _bessel_j0_zeros(512)
+        assert got.shape == (512,)
+        np.testing.assert_allclose(got, jn_zeros(0, 512), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("count", [1, 3, 5, 6])
+    def test_count(self, count):
+        np.testing.assert_allclose(_bessel_j0_zeros(count), jn_zeros(0, count),
+                                   rtol=0.0, atol=1e-12)

@@ -363,6 +363,18 @@ class TestGowdy:
         expected = (a0 * (1.0 - 1j * np.log(tau))).real / np.sqrt(np.pi) + osc.real / np.sqrt(2.0)
         assert gowdy_value(p, tau, sigma) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
+    def test_sigma_array_matches_scalar_calls(self, rng):
+        coeffs = {n: complex(*rng.normal(size=2)) for n in range(-6, 7) if n}
+        p = GowdySolution(coeffs, complex(*rng.normal(size=2)))
+        sigmas = np.linspace(-1.0, 7.0, 12).reshape(3, 4)
+        for tau in (0.3, 1.0, 20.0):
+            vals = gowdy_value(p, tau, sigmas)
+            one = [gowdy_value(p, tau, s) for s in sigmas.ravel()]
+            assert all(type(v) is float for v in one)
+            assert vals.shape == sigmas.shape
+            np.testing.assert_allclose(vals.ravel(), one, rtol=0.0,
+                                       atol=1e-15 * max(abs(v) for v in one))
+
     def test_zero_mode_undefined(self, rng):
         s = project_bhp(random_field(rng, mass=0.0), QuadratureConfig(n_max=3))
         sol = gowdy_from_sequence(s)
