@@ -11,6 +11,7 @@ Gaussian along rays, such as a ring mean, is integrated over a ball.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,28 +101,72 @@ def _closed_pair(a1, a2):
             / np.sqrt(np.linalg.det(M)) * np.exp(expo))
 
 
-def _radial_moment(P, m, theta):
-    """int_0^inf r^2 exp(-P (r - m)^2 + i theta r) dr, elementwise for P > 0.
+class _Workspace(dict):
+    """Flat buffers per (dtype, slot), viewed at a block's shape and grown to powers of two."""
 
-    With z = sqrt(P) m + i theta / (2 sqrt(P)) it equals
-    P^(-3/2) e^(-P m^2) [(sqrt(pi) / 4)(1 + 2 z^2) w(-iz) + z / 2], with w
-    the Faddeeva function.  For m > 0 the reflection w(-iz) = 2 e^(z^2) - w(iz)
-    turns the first term into (sqrt(pi) / 2)(1 + 2 z^2) e^(i theta m - theta^2 / 4P)
-    plus a w(iz) term.  So w is only taken in the upper half plane, where
-    |w| <= 1, and no factor but a polynomial in z exceeds 1.
+    def views(self, dtype, shape, slots: range) -> list:
+        n = math.prod(shape)
+        for i in slots:
+            if self.get((dtype, i), np.empty(0)).size < n:
+                self[dtype, i] = np.empty(1 << (n - 1).bit_length(), dtype)
+        return [self[dtype, i][:n].reshape(shape) for i in slots]
+
+
+# from |z| = 8 on the bracket of _radial_moment is (1 / 2z) sum_k k s_k z^(-2k),
+# s_k = (-1)^k (2k - 1)!! / 2^k; k <= 40 (polyval order in z^-2) reaches 1e-23
+_ASYMPTOTIC_COEFFS = [k * math.prod((1 - 2 * j) / 2 for j in range(1, k + 1))
+                      for k in range(40, 0, -1)]
+
+
+def _radial_moment(P, m, theta, base=0.0, ws=None):
+    """e^base int_0^inf r^2 exp(-P (r - m)^2 + i theta r) dr, elementwise for P > 0.
+
+    With z = a + ib = sqrt(P) m + i theta / (2 sqrt(P)), poly = (sqrt(pi) / 4)(1 + 2 z^2)
+    and the Faddeeva function w it is e^base / (P sqrt(P)) times
+    e^(-a^2) (z / 2 + sign poly w(-sign iz)) + [m > 0] 2 poly e^(z^2 - a^2),
+    sign = -1 for m > 0 and +1 otherwise, by the reflection w(-iz) = 2 e^(z^2) - w(iz):
+    w is only taken in the upper half plane, where |w| <= 1.  The bracket is
+    -sign (zt / 2 - poly w(i zt)), zt = -sign z, and from |z| = 8 on, where it
+    cancels badly, comes from its asymptotic series.  P, m and base broadcast
+    against theta; temporaries and result are views into the _Workspace ws.
     """
-    s = np.sqrt(P)
-    z = s * m + 0.5j * theta / s
-    outward = m > 0.0
-    poly = 0.25 * np.sqrt(np.pi) * (1.0 + 2.0 * z * z)
-    w = faddeeva(np.where(outward, 1j * z, -1j * z))
-    val = np.exp(-P * m * m) * (0.5 * z + np.where(outward, -poly, poly) * w)
-    val = val + np.where(outward, 2.0 * poly * np.exp(1j * theta * m - 0.25 * theta * theta / P),
-                         0.0)
-    return val / (P * s)
+    ws = _Workspace() if ws is None else ws
+    shape = np.broadcast(P, m, theta, base).shape
+    s, a, b, e, sign, t1, t2 = ws.views(float, shape, range(3, 10))
+    zt, val, poly, scratch = ws.views(complex, shape, range(4))
+    np.multiply(np.sqrt(P, out=s), m, out=a)
+    np.divide(0.5 * theta, s, out=b)
+    # sign holds -sign, and zt = |a| + i sign b
+    outward = np.greater(m, 0.0)
+    np.subtract(np.multiply(outward, 2.0, out=sign), 1.0, out=sign)
+    np.abs(a, out=zt.real)
+    np.multiply(sign, b, out=zt.imag)
+    faddeeva(np.multiply(zt, 1j, out=val), out=val, scratch=(poly, scratch))
+    np.multiply(np.square(zt, out=poly), 0.5 * np.sqrt(np.pi), out=poly)
+    poly += 0.25 * np.sqrt(np.pi)
+    np.subtract(np.multiply(zt, 0.5, out=scratch), np.multiply(poly, val, out=val), out=val)
+    idx = np.flatnonzero(np.add(np.square(a, out=e), np.square(b, out=t1), out=t2) >= 64.0)
+    if idx.size:
+        zk = zt.reshape(-1)[idx]
+        np.put(val, idx, np.polyval(_ASYMPTOTIC_COEFFS, zk**-2) / (2.0 * zk**3))
+    # times sign e^(base - a^2) / (P s), with P s in s
+    np.exp(np.subtract(base, e, out=e), out=e)
+    e /= np.multiply(s, P, out=s)
+    np.multiply(val, np.multiply(e, sign, out=e), out=val)
+    idx = np.flatnonzero(outward)
+    if idx.size:
+        # plus 2 poly e^(base - b^2 + 2iab) / (P s), gathered on the m > 0 entries
+        ex, pk, psk = (x.reshape(-1)[:idx.size] for x in (scratch, zt, e))
+        np.take(np.subtract(base, t1, out=t1).reshape(-1), idx, out=ex.real)
+        np.take(np.multiply(a, b, out=t2).reshape(-1), idx, out=ex.imag)
+        ex.imag *= 2.0
+        np.multiply(np.exp(ex, out=ex), np.take(poly.reshape(-1), idx, out=pk), out=ex)
+        ex *= np.divide(2.0, np.take(s.reshape(-1), idx, out=psk), out=psk)
+        np.put(val, idx, np.add(np.take(val.reshape(-1), idx, out=pk), ex, out=pk))
+    return val
 
 
-def _ray_integrals(rows1, rows2):
+def _ray_integrals(rows1, rows2, ws):
     """Per direction d, the integral over r >= 0 of r^2 conj(a1(r d)) a2(r d).
 
     rows1 and rows2 are FieldVector.on_rays rows on the same directions.
@@ -129,19 +174,24 @@ def _ray_integrals(rows1, rows2):
     exp(-P (r - m)^2 + i Theta r), with P = h1 + h2,
     m = (h1 r01 + h2 r02) / P, q = h1 h2 (r01 - r02)^2 / P and
     Theta = theta2 - theta1, so its radial integral is _radial_moment's
-    closed form.  A factor of the integrand that depends on d alone, or a
-    phase linear in r, can be folded into a row's lead or theta.
+    closed form, taken in the _Workspace ws.  A factor of the integrand that
+    depends on d alone, or a phase linear in r, can be folded into a row's
+    lead or theta.
     """
     total = 0.0
     for c1, h1, r01, lead1, th1 in rows1:
+        hr1 = (h1 * r01)[:, None]
         c1, h1, r01, lead1 = (x[:, None] for x in (c1, h1, r01, lead1))
         for c2, h2, r02, lead2, th2 in rows2:
-            P = h1 + h2
-            m = (h1 * r01 + h2 * r02) / P
-            q = h1 * h2 / P * (r01 - r02) ** 2
-            pair = (np.conj(c1) * c2 * np.exp(lead1 + lead2 - q)
-                    * _radial_moment(P, m, th2 - th1))
-            total = total + np.sum(pair, axis=(0, 1))
+            P, m, base = ws.views(float, h1.shape[:1] + h2.shape, range(3))
+            np.add(np.multiply(h2, r02, out=m), hr1, out=m)
+            m /= np.add(h1, h2, out=P)
+            np.square(np.subtract(r01, r02, out=base), out=base)
+            np.divide(np.multiply(np.multiply(base, h1, out=base), h2, out=base), P, out=base)
+            np.add(np.subtract(lead2, base, out=base), lead1, out=base)
+            val = _radial_moment(P, m, th2 - th1, base, ws)
+            cc = (np.conj(c1) * c2).reshape(-1)
+            total = total + (cc @ val.reshape(cc.size, -1)).reshape(h2.shape[1:])
     return total
 
 
@@ -157,6 +207,7 @@ def _sphere_form(pair_rows, f1: FieldVector, f2: FieldVector,
     phase of the integrand has a frequency of at most the sum, over both
     fields, of the largest |spatial part| of a term's phase covector, and it
     turns by that times R over the sphere, with R the largest s (|c| + w).
+    One _Workspace holds the kernel's arrays for every block and level.
     """
     angle, reach, freq = np.inf, 0.0, 0.0
     for f in (f1, f2):
@@ -166,7 +217,8 @@ def _sphere_form(pair_rows, f1: FieldVector, f2: FieldVector,
             angle = min(angle, w / s / max(c, w))
             reach = max(reach, s * (c + w))
         freq += max(np.linalg.norm(fold(t.chain).phase[1:]) for t in f.terms)
-    return FormValue(*adaptive_sphere(lambda D: _ray_integrals(*pair_rows(D)), quad, angle,
+    ws = _Workspace()
+    return FormValue(*adaptive_sphere(lambda D: _ray_integrals(*pair_rows(D), ws), quad, angle,
                                       freq * reach))
 
 

@@ -114,10 +114,22 @@ _MCMAHON = (-8249725736393 / 14533263360, 2092163573 / 82575360, -6277237 / 3440
             3779 / 15360, -31 / 384, 1 / 8)
 
 
+@lru_cache(maxsize=None)
+def _rule_tables(size: int):
+    """c_k = binom(2k, k) / 4^k (a running product) and j_(0,k+1) for k < size, read-only.
+
+    Built once per power of two size; a prefix is bitwise a smaller size's table."""
+    j = np.arange(1, size)
+    beta = (np.arange(len(_J0_ZEROS) + 1, size + 1) - 0.25) * np.pi
+    c = np.concatenate(([1.0], np.cumprod((2 * j - 1) / (2 * j))))
+    zeros = np.concatenate((_J0_ZEROS, beta + np.polyval(_MCMAHON, beta**-2) / beta))[:size]
+    c.flags.writeable = zeros.flags.writeable = False
+    return c, zeros
+
+
 def _bessel_j0_zeros(count: int) -> Array:
-    """The first count positive zeros of J0."""
-    beta = (np.arange(len(_J0_ZEROS) + 1, count + 1) - 0.25) * np.pi
-    return np.concatenate((_J0_ZEROS, beta + np.polyval(_MCMAHON, beta**-2) / beta))[:count]
+    """The first count positive zeros of J0 (a read-only view of a shared table)."""
+    return _rule_tables(1 << count.bit_length())[1][:count]
 
 
 def _legendre_series(theta: Array, a: Array, m: Array, scale: float):
@@ -131,9 +143,9 @@ def _legendre_series(theta: Array, a: Array, m: Array, scale: float):
     m_j theta instead would err by up to n ulp(theta) in the argument,
     about 1e-12 in the weights at n = 1024.
     """
-    hi = np.round(theta * scale) / scale
+    hi = np.rint(theta * scale) / scale
     lo = theta - hi
-    arg = np.multiply.outer(hi, m)
+    arg = hi[:, None] * m
     c = np.cos(arg)
     s = np.sin(arg, out=arg)
     am = a * m
@@ -167,12 +179,12 @@ def _leggauss(n: int):
     n = int(n)
     if n < 1:
         raise ValueError("a Gauss-Legendre rule needs n >= 1 nodes")
-    j = np.arange(1, n + 1)
-    c = np.concatenate(([1.0], np.cumprod((2 * j - 1) / (2 * j))))
-    k = np.arange(n // 2 + 1)
-    m = n - 2 * k
-    # the terms k and n - k share cos(m theta); m = 0 (n even) appears once
-    a = np.where(m > 0, 2.0, 1.0) * c[k] * c[n - k]
+    c = _rule_tables(1 << n.bit_length())[0][:n + 1]
+    # m = n - 2k for k <= n / 2: the terms k and n - k share cos(m theta), and
+    # m = 0 (n even) appears once
+    m = np.arange(n, -1, -2.0)
+    a = c[:m.size] * c[n + 1 - m.size:][::-1]
+    a[:(n + 1) // 2] *= 2.0
     # theta < 2 rounded to a multiple of 1 / scale, times m <= n, is an
     # integer multiple of 1 / scale below 2^53 / scale: an exact product
     scale = 2.0 ** (52 - n.bit_length())

@@ -176,7 +176,7 @@ def reduced_forms_axisym(A1: AxisymmetricAmplitude, A2: AxisymmetricAmplitude,
         key = (nk_, nz_, round(kmax, 9), round(zlo, 9), round(zhi, 9))
         v1 = A1.grid_values(kap, kz, key)
         v2 = A2.grid_values(kap, kz, key)
-        return 2.0 * np.pi * complex(np.sum(wk[:, None] * wz[None, :] * np.conj(v1) * v2))
+        return 2.0 * np.pi * complex(wk @ (np.conj(v1) * v2) @ wz)
 
     cur, _ = _refine(level, gl_counts((kmax, zhi - zlo), width), quad,
                      "axisymmetric reduced forms did not converge")

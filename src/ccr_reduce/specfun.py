@@ -117,11 +117,13 @@ def cosh_phase_integral(x: float, node_factor: float = 1.0):
     by -pi/4 into the lower half plane, where Im cosh < 0 gives rapid decay.
     The turn happens where the phase x*cosh(s) reaches a fixed budget, so
     small x push s0 outward (at most to 12); the central node count
-    resolves the phase up to the turn and is scaled by node_factor.
-    Returns (value, truncation_estimate).
+    resolves the phase up to the turn, is rounded up to the ladder
+    96 * 2^(k/2), so that nearby arguments share one rule, and is scaled by
+    node_factor.  Returns (value, truncation_estimate).
     """
     s0 = min(max(2.5, float(np.log(90.0 / x))), 12.0)
-    n_center = int(min(max(96, 8 * x * np.cosh(s0) / np.pi + 16), 6000))
+    rung = np.ceil(2 * np.log2(max(1.0, (8 * x * np.cosh(s0) / np.pi + 16) / 96)))
+    n_center = min(int(96 * 2 ** (rung / 2)), 6000)
     s, w = gl_nodes(max(64, int(n_center * node_factor)), -s0, s0)
     central = np.sum(w * np.exp(-1j * x * np.cosh(s)))
     t, wt = gl_nodes(160, 0.0, 4.2)
@@ -170,18 +172,24 @@ def _weideman_coefficients() -> np.ndarray:
     return a[::-1]
 
 
-def faddeeva(z):
+def faddeeva(z, out=None, scratch=None):
     """w(z) = exp(-z^2) erfc(-iz), elementwise on complex arrays with Im z >= 0.
 
     The expansion holds in the closed upper half plane, where |w| <= 1.
-    Below it, callers reflect: w(z) = 2 exp(-z^2) - w(-z).
+    Below it, callers reflect: w(z) = 2 exp(-z^2) - w(-z).  out (which may
+    be z) and scratch, two arrays of z's shape, are allocated when not given.
     """
     z = np.asarray(z, dtype=complex)
-    den = _W_L - 1j * z
-    Z = (_W_L + 1j * z) / den
-    coeffs = _weideman_coefficients()
-    p = np.full_like(Z, coeffs[0])
-    for a in coeffs[1:]:  # Horner, in place
+    den, Z = scratch if scratch is not None else (np.empty_like(z), np.empty_like(z))
+    np.add(np.multiply(z, -1j, out=den), _W_L, out=den)
+    np.divide(np.add(np.multiply(z, 1j, out=Z), _W_L, out=Z), den, out=Z)
+    coeffs = 2.0 * _weideman_coefficients()  # Horner on 2 p, in place
+    p = np.multiply(Z, coeffs[0], out=np.empty_like(z) if out is None else out)
+    p += coeffs[1]
+    for a in coeffs[2:]:
         p *= Z
         p += a
-    return 2.0 * p / (den * den) + 1.0 / (np.sqrt(np.pi) * den)
+    p *= np.reciprocal(den, out=den)  # 2 p / den^2 + 1 / (sqrt(pi) den), in two steps
+    p += 1.0 / np.sqrt(np.pi)
+    p *= den
+    return p if p.ndim else p[()]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,10 @@ from ccr_reduce import (
     weyl_star,
 )
 from ccr_reduce import forms
+from ccr_reduce.modes import rays_at
+from ccr_reduce.quadrature import gl_nodes, spherical_grid
 
-from conftest import moved_pair_on_sphere, random_field
+from conftest import moved_pair_on_sphere, random_field, s0_field
 
 
 def unit_gaussian():
@@ -135,12 +139,25 @@ class TestRelativeFrame:
         assert expected == pytest.approx(2.8509839343778354, rel=1e-14)
 
 
+def mpmath_radial_moment(mp, p, c, t):
+    """int_0^inf r^2 exp(-p (r - c)^2 + i t r) dr by mpmath quadrature."""
+    top = max(c, 0.0)
+    return complex(mp.quad(lambda r: r * r * mp.exp(-p * (r - c) ** 2 + 1j * t * r),
+                           [0, top, top + 12 / mp.sqrt(p), mp.inf]))
+
+
 class TestRadialMoment:
     # (P, m, theta): inward and outward centres, no phase and fast phases, a
     # narrow packet far out (P m^2 = 1600) and a wide one (P = 0.02)
     CASES = [(1.0, 0.5, 0.3), (16.0, 3.2, 0.0), (0.5, -2.0, 4.0), (2.0, 0.0, 10.0),
              (100.0, 4.0, 60.0), (0.02, 1.0, 0.5), (1.0, -6.0, 0.0), (4.0, 1.5, -25.0),
              (1e4, 0.4, 3.0)]
+    # |z| = 25, 25 and 10, where the Faddeeva route lost 5e-9 to 8e-8 of the
+    # value, and |z| = 8 -+ 0.01 on the diagonal m = theta / 2 (P = 1), on both
+    # sides of the switch to the asymptotic series
+    LARGE_Z = [(1.0, 0.0, 50.0), (1.0, 0.3, 50.0), (1.0, 0.0, 20.0),
+               (1.0, 7.99 / np.sqrt(2.0), 7.99 * np.sqrt(2.0)),
+               (1.0, 8.01 / np.sqrt(2.0), 8.01 * np.sqrt(2.0))]
 
     def test_matches_mpmath_quadrature(self):
         # within 1e-12 of the integral of the modulus over the whole line,
@@ -149,10 +166,101 @@ class TestRadialMoment:
         P, m, theta = (np.array(x, dtype=float) for x in zip(*self.CASES))
         got = forms._radial_moment(P, m, theta)
         for (p, c, t), g in zip(self.CASES, got):
-            top = max(c, 0.0)
-            ref = complex(mp.quad(lambda r: r * r * mp.exp(-p * (r - c) ** 2 + 1j * t * r),
-                                  [0, top, top + 12 / mp.sqrt(p), mp.inf]))
+            ref = mpmath_radial_moment(mp, p, c, t)
             assert abs(g - ref) <= 1e-12 * np.sqrt(np.pi / p) * (c * c + 0.5 / p)
+
+    def test_large_z_relative_to_the_value(self):
+        mp = pytest.importorskip("mpmath")
+        P, m, theta = (np.array(x, dtype=float) for x in zip(*self.LARGE_Z))
+        got = forms._radial_moment(P, m, theta)
+        for (p, c, t), g in zip(self.LARGE_Z, got):
+            # the fast phases need more than double precision inside mpmath
+            with mp.workdps(40):
+                ref = mpmath_radial_moment(mp, p, c, t)
+            assert abs(g - ref) <= 1e-13 * abs(ref)
+
+    def test_scalar_theta_and_base(self):
+        # theta and base broadcast; e^base scales the moment
+        P, m = np.array([1.0, 2.0, 0.5]), np.array([0.7, 0.0, -1.2])
+        plain = forms._radial_moment(P, m, np.zeros(3)).copy()
+        np.testing.assert_allclose(forms._radial_moment(P, m, 0.0), plain, rtol=1e-15)
+        np.testing.assert_allclose(forms._radial_moment(P, m, 0.0, np.full(3, -2.0)),
+                                   np.exp(-2.0) * plain, rtol=1e-14)
+
+
+def two_group_field(g, phase):
+    """Two chain groups of two and one packets, the first behind g and the second unmoved."""
+    group = FieldVector(0.0, (GaussianPacket([0.4, -0.3, 0.9], [0.7, 0.9, 0.8], 0.8 - 0.3j),
+                              GaussianPacket([-0.6, 0.5, 0.2], [0.9, 0.6, 1.0], -0.5 + 0.6j)))
+    lone = GaussianPacket([0.2, 0.8, -0.5], [0.8, 0.8, 0.7], (0.6 + 0.2j) * phase)
+    return add(apply_group(g, group), FieldVector(0.0, (lone,)))
+
+
+class TestRayKernel:
+    """forms._ray_integrals on one workspace against fresh ones and a radial quadrature."""
+
+    # theta is the scalar 0 on a pure boost and an array on a translated chain
+    PAIRS = [(BHPElement(0, 0.7, 0.0), BHPElement(0, -0.4, 0.0)),
+             (BHPElement(1, 0.5, 0.3), BHPElement(0, -0.6, 0.0))]
+
+    @staticmethod
+    def blocks(nt=24, nphi=85, rows=7):
+        _, _, D, _ = spherical_grid(1.0, 1, nt, nphi)
+        return [D[i:i + rows] for i in range(0, nt, rows)]
+
+    @pytest.mark.parametrize("g1, g2", PAIRS)
+    def test_shared_workspace_matches_fresh(self, g1, g2):
+        f1, f2 = two_group_field(g1, 1.0), two_group_field(g2, 1j)
+        blocks = self.blocks()
+        first, last = blocks[0], blocks[-1]
+        assert last.shape[0] < first.shape[0]
+        ws = forms._Workspace()
+        for D in (first, last, first):
+            rows1, rows2 = f1.on_rays(D), f2.on_rays(D)
+            assert {r[1].shape[0] for r in rows1} == {2, 1} == {r[1].shape[0] for r in rows2}
+            fresh = forms._ray_integrals(rows1, rows2, forms._Workspace())
+            np.testing.assert_allclose(forms._ray_integrals(rows1, rows2, ws), fresh, rtol=1e-14,
+                                       atol=0.0)
+
+    @pytest.mark.parametrize("g1, g2", PAIRS)
+    def test_matches_radial_quadrature(self, g1, g2):
+        f1, f2 = two_group_field(g1, 1.0), two_group_field(g2, 1j)
+        D = self.blocks(6, 9, 6)[0]
+        rows1, rows2 = f1.on_rays(D), f2.on_rays(D)
+        assert any(np.ndim(r[4]) for r in rows1 + rows2) == (g1.n != 0)
+        r, w = gl_nodes(400, 0.0, 14.0)
+        ref = sum(wi * ri * ri * np.conj(rays_at(rows1, ri)) * rays_at(rows2, ri)
+                  for ri, wi in zip(r, w))
+        got = forms._ray_integrals(rows1, rows2, forms._Workspace())
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_zero_centre_meets_the_outward_branch(self):
+        # m = 0 exactly takes the inward branch and a tiny positive m the
+        # outward one: the two formulas give the same moment there
+        P = np.array([1.5, 1.5])
+        got = forms._radial_moment(P, np.array([0.0, 1e-300]), np.array([0.8, 0.8]))
+        assert got[0] == pytest.approx(got[1], rel=1e-14)
+
+    def test_warm_call_allocates_little(self):
+        # a 2,040-direction block of two boosted s0 fields (2 x 2 term pairs):
+        # with the workspace warm, a call allocates only per-row arrays, the
+        # outward indices and the result (the per-block temporaries peaked
+        # at 1.59 MB)
+        f1 = apply_group(BHPElement(0, 0.6, 0.0), s0_field([1.1, 0.4, -0.3], [0.8, 0.9, 0.7],
+                                                            0.7 + 0.2j))
+        f2 = apply_group(BHPElement(1, -0.5, 0.4), s0_field([0.9, -0.6, 0.5],
+                                                             [0.7, 0.8, 1.0], 0.3 - 0.9j))
+        _, _, D, _ = spherical_grid(1.0, 1, 24, 85)
+        rows1, rows2 = f1.on_rays(D), f2.on_rays(D)
+        ws = forms._Workspace()
+        forms._ray_integrals(rows1, rows2, ws)
+        tracemalloc.start()
+        try:
+            forms._ray_integrals(rows1, rows2, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.4e6
 
 
 class TestOmegaMu:

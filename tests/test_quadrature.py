@@ -163,6 +163,32 @@ class TestGaussLegendreRule:
         assert blocks == [min(rows, half - first) for first in range(0, half, rows)]
 
 
+class TestSharedTables:
+    # the rule sizes one bhp-average run builds on the seed-42 s0 corpus
+    BHP_AVERAGE_SIZES = [1, 18, 20, 26, 29, 31, 32, 40, 42, 44, 45, 47, 48, 51, 54, 60, 62,
+                         67, 69, 71, 75, 79, 87, 88, 89, 97, 103, 120, 125, 128, 139, 148,
+                         172, 174, 179, 238, 247, 254, 266, 337, 376]
+
+    @staticmethod
+    def rules(sizes):
+        # fresh tables, so that the first size decides how far they grow
+        quadrature._rule_tables.cache_clear()
+        return {n: _leggauss.__wrapped__(n) for n in sizes}
+
+    def test_build_order_does_not_matter(self):
+        up = self.rules(self.BHP_AVERAGE_SIZES)
+        down = self.rules(self.BHP_AVERAGE_SIZES[::-1])
+        for n in self.BHP_AVERAGE_SIZES:
+            np.testing.assert_array_equal(up[n][0], down[n][0])
+            np.testing.assert_array_equal(up[n][1], down[n][1])
+
+    def test_tables_are_read_only_prefixes(self):
+        zeros = _bessel_j0_zeros(7)
+        with pytest.raises(ValueError):
+            zeros[0] = 0.0
+        np.testing.assert_array_equal(zeros, _bessel_j0_zeros(300)[:7])
+
+
 class TestBesselZeros:
     def test_table(self):
         np.testing.assert_allclose(_J0_ZEROS, jn_zeros(0, len(_J0_ZEROS)), rtol=0.0, atol=1e-15)

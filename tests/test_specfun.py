@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ccr_reduce import DomainError, bessel_j0, bessel_y0, hankel2_0, hankel2_0_integral
-from ccr_reduce.specfun import SEAM, _hankel2_asymptotic, _series, faddeeva
+from ccr_reduce import quadrature
+from ccr_reduce.specfun import SEAM, _hankel2_asymptotic, _series, cosh_phase_integral, faddeeva
 
 EULER = 0.5772156649015328606
 
@@ -93,6 +94,22 @@ class TestIntegralRepresentation:
         sp, wp = gl_nodes(150, 0.0, s0)
         doubled = 2.0 * np.sum(wp * np.exp(-1j * x * np.cosh(sp)))
         assert abs(full - doubled) < 1e-10
+
+    def test_nearby_arguments_share_rules(self, monkeypatch):
+        # bhp-field's boost integrals at tau = 2, x = 2 |n| for |n| <= 8: the
+        # central counts 130 ... 265 round up to three rungs of 96 * 2^(k/2)
+        # (seven sizes without the ladder); 160 is the tail rule
+        sizes = []
+        leggauss = quadrature._leggauss
+
+        def recording(n):
+            sizes.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(quadrature, "_leggauss", recording)
+        for n in range(1, 9):
+            cosh_phase_integral(2.0 * n)
+        assert sorted(set(sizes) - {160}) == [135, 192, 271]
 
     def test_slow_convergence_flag(self):
         assert "slow-convergence" in hankel2_0_integral(0.05).flags
