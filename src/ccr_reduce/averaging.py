@@ -25,7 +25,7 @@ import numpy as np
 from .errors import MassMismatchError, ZeroModeDivergenceError
 from .forms import FormValue, _affine_pair, _ball_form, _closed_pair, _sphere_form
 from .groups import BHPElement, _rotation_matrix, apply_group, inverse
-from .modes import FieldVector, _dot, lorentz_apply, momentum_norm, rays_at, zero_mode_slice
+from .modes import FieldVector, _dot, _half_lines, lorentz_apply, momentum_norm, rays_at
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -383,33 +383,40 @@ def zero_mode_divergence_probe(f: FieldVector, alpha_cutoffs: Sequence[float]) -
 
     It grows linearly in the cutoff, with the slope |sqrt(2) Im(A_0)| / (4 pi^2)
     (A_0 from project_bhp), unless the field is zero-mode free: then it is 0.
-    The k_y < 0 half of the slice g(k_y) = a(0, k_y, 0) enters at alpha where
-    the k_y > 0 half enters at -alpha, so the alpha integral folds onto
-    [0, A] and sees only G(k) = g(k) + g(-k), k > 0.  With k = v^2, its
-    oscillatory k integral is a contour rotation for nu > 50 and, for
-    nu <= 50, a weighted sum on one v grid per octave (top / 2, top] of nu,
-    top = 50, 25, ...: the grid resolves the local frequency 2 top v of
-    exp(-i nu v^2) up to v_hi = sqrt(q_hi), and its panels are at most
-    min_width / v_hi long, which resolves G(v^2); the first octave whose
-    frequency is under that floor serves every lower nu.  The panels
+    The k_y < 0 half of the line enters at alpha where the k_y > 0 half
+    enters at -alpha, so the alpha integral folds onto [0, A] and sees only
+    G(s) = a(0, s, 0) + a(0, -s, 0), the sum of the half-line Gaussians of
+    any massless field (modes._half_lines), entire in s.  With s = v^2, its
+    oscillatory s integral is a contour rotation for nu > split and, for
+    nu <= split, a weighted sum on one v grid per octave (top / 2, top] of
+    nu, top = split, split / 2, ...: the grid resolves the local frequency
+    2 top v of exp(-i nu v^2) up to v_hi = sqrt(q_hi), and its panels are at
+    most min_width / v_hi long, which resolves G(v^2); the first octave whose
+    frequency is under that floor serves every lower nu.  On the contour,
+    u^2 <= 45 / nu, a Gaussian of curvature h grows like exp(h u^4), so
+    split = max(50, 20 sqrt(h_max)) keeps it under about e^5.  The panels
     between increasing cutoffs (the first from 0) are adaptive_gl ladders at
-    unit width and DEFAULT_CONFIG whose running sums are returned; a panel
-    that does not converge raises QuadratureError.
+    unit width and DEFAULT_CONFIG whose running sums are returned; a
+    non-converging panel or a grid over OSC_CAP nodes raises QuadratureError.
     """
     edges = np.concatenate([[0.0], np.asarray(alpha_cutoffs, dtype=float)])
     if not np.all(np.diff(edges) > 0.0):
         raise ValueError("alpha cutoffs must be positive and increasing")
-    g = zero_mode_slice(f)
+    _, peak, curv, r0, theta = _half_lines(f)
 
-    def G(k):
-        return g(k) + g(-k)
+    def G(s):
+        out = np.zeros(np.shape(s), dtype=complex)
+        for p, hh, c, th in zip(peak, curv, r0, theta):
+            out += p * np.exp(-hh * (s - c) ** 2 + (1j * th * s if th else 0.0))
+        return out
 
     lo, hi = f.support_box()
     q_hi = max(abs(lo[1]), abs(hi[1])) + 1.0
     v_hi = np.sqrt(q_hi)
     c0 = (2.0 * (2.0 * np.pi) ** 3) ** -0.5
     floor = 2.0 * np.pi * v_hi / f.min_width()
-    grids, top = [], 50.0
+    split = max(50.0, 20.0 * np.sqrt(np.max(curv, initial=0.0)))
+    grids, top = [], split
     while True:
         v, wv = oscillatory_grid(0.0, v_hi, max(2.0 * top * v_hi, floor))
         w = 2.0 * wv * G(v * v)
@@ -421,8 +428,8 @@ def zero_mode_divergence_probe(f: FieldVector, alpha_cutoffs: Sequence[float]) -
 
     def K_of(nu: np.ndarray) -> np.ndarray:
         out = np.empty(nu.shape, dtype=complex)
-        s = nu <= 50.0
-        octave = np.minimum(np.log2(50.0 / nu[s]), len(grids) - 1).astype(int)
+        s = nu <= split
+        octave = np.minimum(np.log2(split / nu[s]), len(grids) - 1).astype(int)
         for i, (v, slow) in enumerate(grids):
             rows = np.flatnonzero(s)[octave == i]
             # exp(-i ph) @ slow in real arithmetic: a cos and a sin cost less

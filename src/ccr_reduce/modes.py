@@ -346,34 +346,41 @@ class FieldVector:
         average of the field itself converges; the n = 0 projection of
         anything else diverges linearly in the boost cutoff.
 
-        When every term is untransformed or translation-only, the test is
-        exact: on the line each term is its coefficient times
-        exp(-c_x^2 / 2 w_x^2 - c_z^2 / 2 w_z^2) times a Gaussian in k_y, and
-        Gaussians with distinct (c_y, w_y) are linearly independent, so the
-        line vanishes exactly when each (c_y, w_y) group's weighted
-        coefficients cancel.  Rotated or boosted terms are sampled at 257
-        points along the line instead.
+        The test is exact: on each half line every term is a Gaussian in
+        s = |k_y| times a linear phase (_half_lines), and such Gaussians with
+        distinct (h, r0, theta) are linearly independent, so the line
+        vanishes when each (side, h, r0, theta) group's peaks cancel.  Keys
+        agree to 12 digits, so chains apart by rounding share a group.
         """
         scale = sum(abs(t.base.coeff) for t in self.terms)
         if scale == 0.0:
             return True
-        if all(_translation_only(t) for t in self.terms):
-            sums = {}
-            for t in self.terms:
-                key = (t.base.center[1], t.base.width[1])
-                # the term's value at the center of its k_y Gaussian
-                sums[key] = sums.get(key, 0.0) + t.base.at(0.0, key[0], 0.0)
-            return max(abs(v) for v in sums.values()) <= 1e-10 * scale
-        lo, hi = self.support_box()
-        ky = np.linspace(lo[1] - 1.0, hi[1] + 1.0, 257)
-        K = np.stack([np.zeros_like(ky), ky, np.zeros_like(ky)], axis=-1)
-        return float(np.max(np.abs(self.amplitude(K)))) <= 1e-10 * scale
+        side, peak, h, r0, theta = _half_lines(self)
+        m, e = np.frexp(np.stack([theta, r0, h, side]))
+        keys = np.ldexp(np.round(m, 12), e)  # 12 digits of each binary mantissa
+        # sorted, each group is a run of equal keys: sum the peaks run by run
+        order = np.lexsort(keys)
+        new = np.concatenate(([True], np.any(np.diff(keys[:, order]) != 0.0, axis=0)))
+        sums = np.add.reduceat(peak[order], np.flatnonzero(new))
+        return float(np.max(np.abs(sums))) <= 1e-10 * scale
 
 
-def _translation_only(term) -> bool:
-    """Identity pull-back, and a phase of k_x and k_z only: on k_x = k_z = 0 it is its base."""
-    f = fold(term.chain)
-    return f.phase[0] == 0.0 and f.phase[2] == 0.0 and np.array_equal(f.pull, np.eye(4))
+def _half_lines(f: FieldVector):
+    """The amplitude on the half lines k = s (0, side, 0), s > 0, as flat Gaussians.
+
+    Returns arrays (side, peak, h, r0, theta), one entry per term and side:
+    a(s (0, side, 0)) sums peak exp(-h (s - r0)^2 + i theta s) over a side.
+    Every chain's pull-back is s times a fixed vector there, so an entry is
+    a row of FieldVector.on_rays at D = (0, side, 0), peak = coeff e^lead;
+    at k = 0 a boosted term takes the root convention 1 instead.  The +y
+    entries come first, in the field's order, so a sum in this order
+    cancels an x-mirrored pair exactly.
+    """
+    sides = np.array([1.0, -1.0])
+    parts = [np.broadcast_arrays(sides, coeff * np.exp(lead), h, r0, theta)
+             for coeff, h, r0, lead, theta in f.on_rays(sides[:, None] * [0.0, 1.0, 0.0])]
+    return [np.concatenate([p[i].T for p in parts], axis=1).ravel() if parts else np.zeros(0)
+            for i in range(5)]
 
 
 def rays_at(rows, r: float):
@@ -476,22 +483,3 @@ def field_from_json(doc: dict) -> FieldVector:
                               complex(td["coeff"][0], td["coeff"][1]))
         terms.append(on_chain(base, tuple(_action_from_json(a) for a in td.get("actions", []))))
     return FieldVector(float(doc["mass"]), tuple(terms))
-
-
-def zero_mode_slice(f: FieldVector):
-    """Return g(k_y) = a(0, k_y, 0) as a callable accepting complex k_y.
-
-    Complex evaluation is needed by the contour-rotated divergence probe, so
-    only untransformed packets and pure translations are supported; boosted
-    or rotated terms would drag the non-entire frequency into the slice, and
-    raise ValueError.
-    """
-    if not all(_translation_only(t) for t in f.terms):
-        raise ValueError("zero-mode slice needs untransformed or translation-only terms")
-    # translation phases vanish on the k_x = k_z = 0 line
-    bases = [t.base for t in f.terms]
-
-    def g(ky):
-        return sum((b.at(0.0, ky, 0.0) for b in bases), np.zeros(np.shape(ky), dtype=complex))
-
-    return g

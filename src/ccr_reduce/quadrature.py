@@ -92,13 +92,14 @@ def _count_ladder(base, caps, growth: float, floor: int):
 # bound the block one integrand call sees, also on the unit sphere; the
 # radial count only sets how many shells are summed, so its cap sits
 # RADIAL_STEPS growth steps above its start, under RADIAL_CEILING.  GL_CAP
-# caps every axis of the 1D and 2D Gauss-Legendre ladders.  Narrower widths
-# count as _MIN_WIDTH.
+# caps every axis of the 1D and 2D Gauss-Legendre ladders, and OSC_CAP the
+# nodes of one oscillatory grid.  Narrower widths count as _MIN_WIDTH.
 SHELL_CAPS = (280, 560)
 RADIAL_STEPS = 5
 RADIAL_CEILING = 1000
 TENSOR_CAP = 320
 GL_CAP = 1024
+OSC_CAP = 2 ** 17
 _MIN_WIDTH = 1e-3
 # Gauss-Legendre rules: the largest (nodes x series terms) block one Newton
 # sweep builds, and the sweeps allowed before a rule counts as unconverged
@@ -375,10 +376,13 @@ def oscillatory_grid(a: float, b: float, max_freq: float):
 
     Panels are one oscillation period long, so a 16-node rule is exact to
     machine precision on each panel for smooth envelopes; the same grid
-    serves every frequency below max_freq.
+    serves every frequency below max_freq.  A grid of more than OSC_CAP
+    nodes raises QuadratureError instead of being built.
     """
     period = 2.0 * np.pi / max(max_freq, 1e-12)
     n_panels = max(8, int(np.ceil((b - a) / period)))
+    if 16 * n_panels > OSC_CAP:
+        raise QuadratureError(f"oscillatory grid of {16 * n_panels} nodes exceeds {OSC_CAP}")
     edges = np.linspace(a, b, n_panels + 1)
     x0, w0 = _leggauss(16)
     half = 0.5 * (edges[1] - edges[0])

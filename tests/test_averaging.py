@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -48,6 +49,8 @@ from ccr_reduce.quadrature import (
 from ccr_reduce.reduction import ordered_ns
 
 from conftest import random_field, random_s0_field, reduced_average, s0_field
+
+PLAIN = load_corpus(generate_corpus(42, 6))
 
 
 class TestQuadratureConfig:
@@ -929,11 +932,17 @@ class TestZeroModeProbe:
         ratios = [vals[i + 1] / vals[i] for i in range(len(vals) - 1)]
         assert min(ratios) > 1.2   # growth stays bounded away from saturation
 
-    @pytest.mark.parametrize("index", [0, 1, 2])
-    def test_slope_is_the_zero_mode_constant(self, index):
+    @pytest.mark.parametrize("f", [
+        *[pytest.param(f, id=str(i)) for i, f in enumerate(PLAIN[:3])],
+        # narrow in k_y: the contour branch starts above 20 sqrt(h_max)
+        *[pytest.param(FieldVector(0.0, (GaussianPacket((0.0, 0.5, 0.0), (1.0, wy, 1.0), 1.0),)),
+                       id=f"width-{wy}") for wy in (0.05, 0.03, 0.02)],
+        *[pytest.param(apply_group(BHPElement(0, a, 0.0), PLAIN[0]), id=f"boost-{a}")
+          for a in (0.5, 1.5)],
+    ])
+    def test_slope_is_the_zero_mode_constant(self, f):
         # at large |alpha| the integrand tends to a constant, the k_y integral
         # of a(0, k_y, 0) / sqrt|k_y| that also gives A_0
-        f = load_corpus(generate_corpus(42, 6))[index]
         p40, p80 = zero_mode_divergence_probe(f, (40.0, 80.0))
         a0 = project_bhp(f, QuadratureConfig(n_max=1)).entries[0]
         predicted = abs(np.sqrt(2.0) * a0.imag) / (4.0 * np.pi ** 2)
@@ -948,6 +957,21 @@ class TestZeroModeProbe:
         assert zero_mode_divergence_probe(mirror, cutoffs) == pytest.approx(
             zero_mode_divergence_probe(f, cutoffs), rel=1e-14)
 
+    def test_too_narrow_for_a_bounded_grid_raises(self):
+        f = FieldVector(0.0, (GaussianPacket((0.0, 0.5, 0.0), (1.0, 3e-4, 1.0), 1.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="oscillatory grid"):
+                zero_mode_divergence_probe(f, (5.0, 10.0))
+
+    @pytest.mark.parametrize("alpha", [-1.5, 0.7, 2.0])
+    def test_boosts_keep_the_zero_mode_constant(self, rng, alpha):
+        f = random_field(rng, mass=0.0, n_terms=2)
+        cfg = QuadratureConfig(n_max=1)
+        a0 = project_bhp(f, cfg).entries[0]
+        moved = project_bhp(apply_group(BHPElement(0, alpha, 0.0), f), cfg).entries[0]
+        assert abs(moved - a0) <= 1e-10 * abs(a0)
+
     def test_capped_ladder_raises(self, rng):
         f = random_field(rng, mass=0.0)
         with mock.patch.object(quadrature, "GL_CAP", 24):
@@ -956,7 +980,7 @@ class TestZeroModeProbe:
 
     @pytest.mark.parametrize("field", [
         *[pytest.param(f, id=f"corpus-{i}")
-          for i, f in enumerate(load_corpus(generate_corpus(42, 6))[:2])],
+          for i, f in enumerate(PLAIN[:2])],
         *[pytest.param(FieldVector(0.0, (GaussianPacket((0.0, ky, 0.0), (1.0, wy, 1.0), 1.0),)),
                        id=f"packet-{ky}-{wy}") for ky, wy in ((3.0, 0.1), (6.0, 0.15), (0.5, 0.1))],
     ])

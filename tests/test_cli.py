@@ -245,8 +245,11 @@ class TestInvalidFieldInput:
         assert self.run_bounds(tmp_path, actions=[boost], scenario="axisym") == 2
         assert "boost-free" in capsys.readouterr().err
 
-    def test_zero_mode_with_rotated_term_exits_2(self, tmp_path, capsys):
-        # a rotation drags the frequency into the complex-evaluated slice
-        rotation = {"kind": "rotation", "angle": 0.4}
-        assert self.run_bounds(tmp_path, actions=[rotation], scenario="zero-mode") == 2
-        assert "translation-only" in capsys.readouterr().err
+    @pytest.mark.parametrize("action", [{"kind": "rotation", "angle": 0.4},
+                                        {"kind": "bhp", "n": 0, "alpha": 0.5, "beta": 0.0}],
+                             ids=["rotated", "boosted"])
+    def test_zero_mode_with_moved_term_diverges(self, tmp_path, action):
+        # the probe reads the line from the half-line Gaussians of any chain
+        assert self.run_bounds(tmp_path, actions=[action], scenario="zero-mode") == 0
+        rows = {r["name"]: r for r in json.loads((tmp_path / "r.json").read_text())["checks"]}
+        assert rows["diverges[0]"]["pass"]

@@ -21,16 +21,18 @@ from ccr_reduce import (
     GaussianPacket,
     RotationElement,
     TransformedPacket,
+    ZeroModeDivergenceError,
     apply_group,
+    average_field_bhp,
     generate_corpus,
     load_corpus,
 )
 from ccr_reduce import inverse, modes
 from ccr_reduce.forms import _affine_of_term
-from ccr_reduce.modes import fold, lorentz_map, rays_at
+from ccr_reduce.modes import _half_lines, field_from_json, fold, lorentz_map, rays_at
 from ccr_reduce.quadrature import spherical_grid
 
-from conftest import s0_field
+from conftest import random_field, random_s0_field, s0_field
 
 
 def oracle_gaussian(base, K):
@@ -290,7 +292,7 @@ class TestRays:
 
 class TestZeroModeFree:
     def test_narrow_packets_between_samples(self):
-        # the 257 line samples straddle both packets; a(0, 0.5, 0) is 1
+        # a(0, 0.5, 0) is 1
         width = [1.0, 3e-4, 1.0]
         f = FieldVector(0.0, (GaussianPacket([0.0, 0.5, 0.0], width, 1.0),
                               GaussianPacket([0.0, 0.0, 0.0], width, -1.0)))
@@ -321,9 +323,62 @@ class TestZeroModeFree:
         assert all(f.is_zero_mode_free() for f in s0)
         assert not any(f.is_zero_mode_free() for f in load_corpus(generate_corpus(42, 6)))
 
-    def test_boosted_terms_are_sampled(self):
+    def test_boosted_terms_are_decided_exactly(self):
         f = apply_group(BHPElement(0, 0.6, 0.0), s0_field([0.9, 0.5, 0.2], [0.8, 0.9, 1.0], 1.0))
         assert f.is_zero_mode_free()
         g = apply_group(BHPElement(0, 0.6, 0.0),
                         FieldVector(0.0, (GaussianPacket([0.1, 0.5, 0.2], [0.8, 0.9, 1.0], 1.0),)))
         assert not g.is_zero_mode_free()
+
+    @pytest.mark.parametrize("g", [BHPElement(0, 0.3, 0.0), RotationElement(0.2)],
+                             ids=["boost", "rotation"])
+    def test_narrow_images_are_not_free(self, g):
+        # |a| on the line reaches 1.16 (boost) and 0.99 (rotation) inside a
+        # peak 4e-4 wide in k_y, which a sample of the line can miss
+        p = GaussianPacket([0.0, 0.5, 0.0], [1.0, 3e-4, 1.0], 1.0)
+        f = apply_group(g, FieldVector(0.0, (p,)))
+        assert not f.is_zero_mode_free()
+        with pytest.raises(ZeroModeDivergenceError):
+            average_field_bhp(f, 1.0, 0.0)
+
+    @pytest.mark.parametrize("g, half", [
+        (BHPElement(2, 0.6, 0.4), BHPElement(1, 0.3, 0.2)),
+        (RotationElement(0.4), RotationElement(0.2)),
+        (BHPElement(0, 0.02, 0.0), BHPElement(0, 0.01, 0.0)),
+    ], ids=["bhp", "rotation", "small-boost"])
+    def test_rounding_apart_chains_cancel(self, g, half):
+        # Phi_(g/2, g/2) p - Phi_g p read as given, not composed: zero in
+        # exact arithmetic, while its half-line keys differ in the last bits
+        term = {"center": [0.3, 0.5, -0.2], "width": [0.8, 0.6, 0.9]}
+        f = field_from_json({"mass": 0.0, "terms": [
+            dict(term, coeff=[1.0, 0.0], actions=[half.to_json(), half.to_json()]),
+            dict(term, coeff=[-1.0, 0.0], actions=[g.to_json()])]})
+        assert len(f.by_chain) == 2
+        assert f.is_zero_mode_free()
+
+    @given(f=ray_fields())
+    @settings(max_examples=100, deadline=None)
+    def test_half_lines_match_amplitude(self, f):
+        # off k = 0, where a boosted term takes the root convention 1; to
+        # 1e-14 of the summed coefficients, the scale of is_zero_mode_free
+        s = np.geomspace(1e-3, 8.0, 60)
+        side, peak, h, r0, theta = _half_lines(f)
+        scale = sum(abs(t.base.coeff) for t in f.terms)
+        for sign in (1.0, -1.0):
+            m = side == sign
+            rows = np.sum(peak[m, None] * np.exp(-h[m, None] * (s - r0[m, None]) ** 2
+                                                 + 1j * theta[m, None] * s), axis=0)
+            K = np.stack([0.0 * s, sign * s, 0.0 * s], axis=-1)
+            assert np.max(np.abs(rows - f.amplitude(K))) <= 1e-14 * scale + 1e-300
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), s0=st.booleans(),
+           g=st.builds(BHPElement, st.integers(-2, 2), st.floats(-3.0, 3.0),
+                       st.floats(-2.0, 2.0)))
+    @settings(max_examples=60, deadline=None)
+    def test_group_invariance(self, seed, s0, g):
+        # a boost scales a half line's peaks by at most e^(|alpha| / 2); with
+        # centres within 1.5 of the line every plain peak stays far above the
+        # 1e-10 threshold, so no field sits near it
+        rng = np.random.default_rng(seed)
+        f = random_s0_field(rng) if s0 else random_field(rng, n_terms=2, center_range=1.5)
+        assert apply_group(g, f).is_zero_mode_free() == f.is_zero_mode_free() == s0
