@@ -191,7 +191,9 @@ def _ray_integrals(rows1, rows2, ws):
             np.add(np.subtract(lead2, base, out=base), lead1, out=base)
             val = _radial_moment(P, m, th2 - th1, base, ws)
             cc = (np.conj(c1) * c2).reshape(-1)
-            total = total + (cc @ val.reshape(cc.size, -1)).reshape(h2.shape[1:])
+            # einsum, not a BLAS product: unpinned BLAS threads contend here
+            pairs = np.einsum("i,ij->j", cc, val.reshape(cc.size, -1))
+            total = total + pairs.reshape(h2.shape[1:])
     return total
 
 

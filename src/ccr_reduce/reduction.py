@@ -22,6 +22,7 @@ from .quadrature import (DEFAULT_CONFIG, _MIN_WIDTH, QuadratureConfig, _refine, 
 from .specfun import hankel2_0
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+_RING_BLOCK = 32  # values of kappa per ring-mean block, at most 32 x 512 ring points
 
 
 def ordered_ns(n_max: int):
@@ -84,37 +85,60 @@ class AxisymmetricAmplitude:
 
     The angular integral runs over the circle of radius kappa in the
     (k_x, k_y) plane; trapezoid sampling is spectrally accurate there.
-    Every term factorises as X_t(k_x, k_y) Z_t(k_z), so only the xy factor
-    is averaged over the ring.  Grid evaluations are cached per quadrature
-    level so form assembly over many pairs reuses each field's values.
+    Every term factorises as X_t(k_x, k_y) Z_t(k_z), so A has rank at most
+    the number of terms T: A = sum_t X_t(kappa) Z_t(k_z), with the ring mean
+    of the xy factor and sqrt(kappa) in X_t (see `factors`).  grid_values
+    caches those factors per quadrature level, so form assembly over many
+    pairs reuses each field's factors and no kappa x k_z grid is stored.
     """
 
     source: FieldVector
     n_angle: int
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def grid_values(self, kap_nodes: np.ndarray, kz_nodes: np.ndarray, key) -> np.ndarray:
+    def grid_values(self, kap_nodes: np.ndarray, kz_nodes: np.ndarray, key):
+        """The factors of A on kap_nodes x kz_nodes, cached under key."""
         if key not in self._cache:
-            self._cache[key] = self.value(kap_nodes, kz_nodes)
+            self._cache[key] = self.factors(kap_nodes, kz_nodes)
         return self._cache[key]
 
-    def value(self, kappa_nodes, kz_nodes):
-        """A on the tensor grid kappa_nodes x kz_nodes.
+    def factors(self, kappa_nodes, kz_nodes):
+        """(X, Z) of shapes (T,) + kappa.shape and (T,) + kz.shape.
 
-        The result has shape kappa.shape + kz.shape (a complex for two
-        scalars): A = sqrt(kappa) sum_t <X_t>(kappa) Z_t(k_z), where <X_t> is
-        the ring mean of X_t, so each term costs n_kappa n_angle + n_z
-        evaluations.
+        X_t(kappa) = sqrt(kappa) <X_t>(kappa), with <X_t> the ring mean of
+        the term's xy factor, taken _RING_BLOCK values of kappa at a time so
+        that no (n_kappa, n_angle) array is built; each term costs
+        n_kappa n_angle + n_z evaluations.
         """
         kappa = np.asarray(kappa_nodes, dtype=float)
         kz = np.asarray(kz_nodes, dtype=float)
+        terms = self.source.terms
         beta = 2.0 * np.pi * np.arange(self.n_angle) / self.n_angle
-        ring_x, ring_y = kappa[..., None] * np.cos(beta), kappa[..., None] * np.sin(beta)
-        out = np.zeros(kappa.shape + kz.shape, dtype=complex)
-        for t in self.source.terms:
-            x, z = t.z_factors(ring_x, ring_y, kz)
-            out = out + np.multiply.outer(np.mean(x, axis=-1), z)
-        out = np.sqrt(kappa).reshape(kappa.shape + (1,) * kz.ndim) * out
+        cos_b, sin_b = np.cos(beta), np.sin(beta)
+        flat = kappa.reshape(-1)
+        X = np.empty((len(terms), flat.size), dtype=complex)
+        Z = np.empty((len(terms),) + kz.shape, dtype=complex)
+        for i, t in enumerate(terms):
+            Z[i] = t.z_factors(0.0, 0.0, kz)[1]
+        for s in range(0, flat.size, _RING_BLOCK):
+            kb = flat[s:s + _RING_BLOCK]
+            ring_x, ring_y = np.multiply.outer(kb, cos_b), np.multiply.outer(kb, sin_b)
+            for i, t in enumerate(terms):
+                ring = t.z_factors(ring_x, ring_y, 0.0)[0]
+                X[i, s:s + _RING_BLOCK] = np.sqrt(kb) * np.mean(ring, axis=-1)
+        return X.reshape((len(terms),) + kappa.shape), Z
+
+    def value(self, kappa_nodes, kz_nodes):
+        """A on the tensor grid kappa_nodes x kz_nodes, from `factors`.
+
+        The result has shape kappa.shape + kz.shape (a complex for two
+        scalars).  The terms are summed in order, elementwise, so a grid
+        entry equals the value at its two scalars bit for bit.
+        """
+        X, Z = self.factors(kappa_nodes, kz_nodes)
+        out = np.zeros(X.shape[1:] + Z.shape[1:], dtype=complex)
+        for x, z in zip(X, Z):
+            out = out + np.multiply.outer(x, z)
         return complex(out) if out.ndim == 0 else out
 
     def kappa_max(self) -> float:
@@ -163,7 +187,10 @@ def reduced_forms_axisym(A1: AxisymmetricAmplitude, A2: AxisymmetricAmplitude,
     """2D quadrature of the reduced bilinear forms on (kappa, k_z).
 
     Returns (omega_hat, mu_hat); both derive from
-    B_hat = 2 pi * int_0^inf dkappa int dk_z conj(A1) A2.
+    B_hat = 2 pi * int_0^inf dkappa int dk_z conj(A1) A2.  With A = sum_t
+    X_t(kappa) Z_t(k_z), a level is 2 pi times the sum over term pairs of
+    (conj(X1) diag(wk) X2^T) * (conj(Z1) diag(wz) Z2^T): T1 T2 products of
+    1D sums on the fields' cached factors, never a kappa x k_z grid.
     """
     if domain is None:
         domain = axisym_domain((A1, A2))
@@ -174,9 +201,10 @@ def reduced_forms_axisym(A1: AxisymmetricAmplitude, A2: AxisymmetricAmplitude,
         kap, wk = gl_nodes(nk_, 0.0, kmax)
         kz, wz = gl_nodes(nz_, zlo, zhi)
         key = (nk_, nz_, round(kmax, 9), round(zlo, 9), round(zhi, 9))
-        v1 = A1.grid_values(kap, kz, key)
-        v2 = A2.grid_values(kap, kz, key)
-        return 2.0 * np.pi * complex(wk @ (np.conj(v1) * v2) @ wz)
+        (x1, z1), (x2, z2) = A1.grid_values(kap, kz, key), A2.grid_values(kap, kz, key)
+        gk = np.einsum("ik,jk->ij", np.conj(x1) * wk, x2)
+        gz = np.einsum("ik,jk->ij", np.conj(z1) * wz, z2)
+        return 2.0 * np.pi * complex(np.sum(gk * gz))
 
     cur, _ = _refine(level, gl_counts((kmax, zhi - zlo), width), quad,
                      "axisymmetric reduced forms did not converge")

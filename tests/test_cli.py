@@ -91,20 +91,23 @@ class TestScenarioRunner:
         assert report["results"]["n_failed"] == 0
 
     def test_axisym_csv_rows_equal_scalar_values(self, tmp_path):
-        corpus = tmp_path / "c.json"
-        dump_corpus(generate_corpus(42, 2), corpus)
-        grid = tmp_path / "grid.csv"
-        report = run_scenario(ScenarioConfig("axisym", str(corpus),
-                                             str(tmp_path / "r.json"),
-                                             csv_path=str(grid)))
-        assert report["results"]["n_failed"] == 0
-        A = project_axisymmetric(load_corpus(corpus)[0])
-        with open(grid, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 625
-        for row in rows:
-            v = A.value(float(row["kappa"]), float(row["kz"]))
-            assert (float(row["re_A"]), float(row["im_A"])) == (v.real, v.imag)
+        # one-term fields, and the two-term fields of an s0 corpus
+        for s0 in (False, True):
+            corpus = tmp_path / f"c{int(s0)}.json"
+            dump_corpus(generate_corpus(42, 2, s0=s0), corpus)
+            grid = tmp_path / f"grid{int(s0)}.csv"
+            report = run_scenario(ScenarioConfig("axisym", str(corpus),
+                                                 str(tmp_path / "r.json"),
+                                                 csv_path=str(grid)))
+            assert report["results"]["n_failed"] == 0
+            A = project_axisymmetric(load_corpus(corpus)[0])
+            assert len(A.source.terms) == 1 + s0
+            with open(grid, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 625
+            for row in rows:
+                v = A.value(float(row["kappa"]), float(row["kz"]))
+                assert (float(row["re_A"]), float(row["im_A"])) == (v.real, v.imag)
 
     def test_report_determinism_modulo_timestamp(self, tmp_path):
         corpus = tmp_path / "c.json"

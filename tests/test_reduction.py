@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from ccr_reduce import (
 )
 from ccr_reduce.corpus import generate_corpus, load_corpus
 from ccr_reduce.errors import QuadratureError
-from ccr_reduce.quadrature import gl_counts, gl_nodes
+from ccr_reduce.quadrature import _refine, gl_counts, gl_nodes
 from ccr_reduce.reduction import (
     AxisymmetricAmplitude,
     GowdySolution,
@@ -66,6 +69,57 @@ def assert_matches_slice_oracle(s: ReducedSequence, f: FieldVector, splits, magn
             assert abs(value - oracle) <= 1e-10 * magnitude, (n, value, oracle)
 
 
+def assert_matches_ring_oracle(A: AxisymmetricAmplitude):
+    """A.value on a 3 x 3 tensor grid against a brute-force ring mean of the
+    full amplitude, sqrt(kappa) times the mean of a over 4096 angles."""
+    kaps, kzs = np.array([0.4, 1.0, 1.7]), np.array([-0.6, 0.0, 0.9])
+    grid = A.value(kaps, kzs)
+    assert grid.shape == (3, 3)
+    beta = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
+    for i, kap in enumerate(kaps):
+        for j, kz in enumerate(kzs):
+            K = np.stack([kap * np.cos(beta), kap * np.sin(beta),
+                          np.full_like(beta, kz)], axis=-1)
+            oracle = np.sqrt(kap) * np.mean(A.source.amplitude(K))
+            assert grid[i, j] == pytest.approx(complex(oracle), abs=1e-12)
+
+
+def grid_reference(A1: AxisymmetricAmplitude, A2: AxisymmetricAmplitude, quad, domain):
+    """reduced_forms_axisym with each level the contraction
+    wk @ (conj(v1) v2) @ wz of the two fields' value grids."""
+    kmax, zlo, zhi, width = domain
+
+    def level(counts):
+        kap, wk = gl_nodes(counts[0], 0.0, kmax)
+        kz, wz = gl_nodes(counts[1], zlo, zhi)
+        v1, v2 = A1.value(kap, kz), A2.value(kap, kz)
+        return 2.0 * np.pi * complex(wk @ (np.conj(v1) * v2) @ wz)
+
+    cur, _ = _refine(level, gl_counts((kmax, zhi - zlo), width), quad, "grid reference")
+    return -2.0 * cur.imag, cur.real
+
+
+@st.composite
+def boost_free_fields(draw):
+    """1-3 packets, each plain, rotated about z, or moved by a boost-free
+    BHP element (the phases 2 pi n k_x + beta k_z)."""
+    coord = st.floats(-2.0, 2.0)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        packet = FieldVector(0.0, (GaussianPacket(
+            [draw(coord) for _ in range(3)],
+            [draw(st.floats(0.4, 1.2)) for _ in range(3)],
+            complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))),))
+        kind = draw(st.sampled_from(["plain", "rotation", "bhp"]))
+        if kind == "rotation":
+            packet = apply_group(RotationElement(draw(st.floats(-np.pi, np.pi))), packet)
+        elif kind == "bhp":
+            packet = apply_group(BHPElement(draw(st.integers(-2, 2)), 0.0,
+                                            draw(st.floats(-2.0, 2.0))), packet)
+        terms.append(packet)
+    return functools.reduce(add, terms)
+
+
 class TestProjectAxisymmetric:
     def test_radial_field_passthrough(self):
         # radial in (kx, ky): A(kappa, kz) = sqrt(kappa) * a(kappa, 0, kz)
@@ -84,18 +138,7 @@ class TestProjectAxisymmetric:
                 GaussianPacket([-0.5, 0.6, -0.2], [0.9, 0.7, 1.2], 0.4 + 0.5j),)))),
     ], ids=["packet", "two-term"])
     def test_against_angular_riemann_oracle(self, f):
-        # the tensor grid against a brute-force ring mean of the full amplitude
-        A = project_axisymmetric(f)
-        kaps, kzs = np.array([0.4, 1.0, 1.7]), np.array([-0.6, 0.0, 0.9])
-        grid = A.value(kaps, kzs)
-        assert grid.shape == (3, 3)
-        beta = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
-        for i, kap in enumerate(kaps):
-            for j, kz in enumerate(kzs):
-                K = np.stack([kap * np.cos(beta), kap * np.sin(beta),
-                              np.full_like(beta, kz)], axis=-1)
-                oracle = np.sqrt(kap) * np.mean(f.amplitude(K))
-                assert grid[i, j] == pytest.approx(complex(oracle), abs=1e-12)
+        assert_matches_ring_oracle(project_axisymmetric(f))
 
     def test_angular_rule_resolved_at_top_level(self):
         # the fixed n_angle has no error control: doubling it must not move A
@@ -121,6 +164,23 @@ class TestProjectAxisymmetric:
         A = project_axisymmetric(random_field(rng))
         assert A.value(0.0, 0.3) == 0.0
 
+    def test_factors_at_the_caps_in_bounded_memory(self):
+        # 1024 x 1024 nodes and 512 angles: a dense complex grid alone is 16 MiB
+        f = add(apply_group(RotationElement(0.8), FieldVector(0.0, (
+                    GaussianPacket([0.9, -0.4, 0.3], [0.5, 1.1, 0.8], 0.6 - 0.3j),))),
+                FieldVector(0.0, (GaussianPacket([-0.5, 0.6, -0.2], [0.9, 0.7, 1.2], 0.4),)))
+        A = AxisymmetricAmplitude(f, 512)
+        kap, _ = gl_nodes(1024, 0.0, 4.0)
+        kz, _ = gl_nodes(1024, -3.0, 3.0)
+        tracemalloc.start()
+        try:
+            cached = A.grid_values(kap, kz, "caps")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert [a.shape for a in cached] == [(2, 1024), (2, 1024)]
+
 
 class TestReducedFormsAxisym:
     def test_omega_diagonal_zero(self, rng, quad):
@@ -135,6 +195,30 @@ class TestReducedFormsAxisym:
                                        project_axisymmetric(f2), quad)
         avg = average_bform_circle(f1, f2, quad)
         assert avg.value.real == pytest.approx(mu_, rel=1e-6)
+
+    @given(pair=st.tuples(boost_free_fields(), boost_free_fields()))
+    @settings(max_examples=15, deadline=None)
+    def test_factor_contraction_matches_value_grids(self, pair):
+        quad = QuadratureConfig()
+        A1, A2 = (project_axisymmetric(f) for f in pair)
+        assert_matches_ring_oracle(A1)
+        domain = axisym_domain((A1, A2))
+        got = reduced_forms_axisym(A1, A2, quad, domain)
+        ref = grid_reference(A1, A2, quad, domain)
+        scale = np.sqrt(reduced_forms_axisym(A1, A1, quad, domain)[1]
+                        * reduced_forms_axisym(A2, A2, quad, domain)[1])
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-13 * scale
+
+    def test_caches_hold_factors_not_grids(self, quad):
+        # after the seed-42 Gram each field keeps T (n_kappa + n_z) values per level
+        amps = [project_axisymmetric(f) for f in load_corpus(generate_corpus(42, 6))]
+        domain = axisym_domain(amps)
+        for i in range(len(amps)):
+            for j in range(i, len(amps)):
+                reduced_forms_axisym(amps[i], amps[j], quad, domain)
+        for A in amps:
+            assert A._cache
+            assert sum(a.nbytes for xz in A._cache.values() for a in xz) <= 64 * 1024
 
     def test_reduced_bound(self, rng, quad):
         f1, f2 = random_field(rng), random_field(rng)
